@@ -210,7 +210,7 @@ class _ModuleInfo:
     display: str
     tree: ast.Module
     directives: _Directives
-    #: import alias → dotted target ("threading", "repro.durable.X" …).
+    #: import alias → dotted target ("threading", "repro.seglog.X" …).
     imports: dict[str, str] = field(default_factory=dict)
     #: module-level lock variable → lock node id.
     module_locks: dict[str, str] = field(default_factory=dict)

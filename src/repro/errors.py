@@ -74,7 +74,7 @@ class LogCorruptionDetail:
     *why*: the file, the segment id, the byte offset of the offending
     record, the checksum it expected vs. the one it computed, and a
     short machine-readable ``reason`` (``checksum`` / ``framing`` /
-    ``sequence`` / ``decode`` / ``manifest`` / ``legacy``).  All fields
+    ``sequence`` / ``decode`` / ``manifest``).  All fields
     are optional so plain one-argument raises keep working.
     """
 

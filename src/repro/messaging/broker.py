@@ -113,7 +113,7 @@ class MessageBroker:
         journal_path: str | os.PathLike[str] | None = None,
         clock: Clock | None = None,
         default_retry_policy: RetryPolicy | None = None,
-        sync_policy: str = "always",
+        sync_policy: str = "group",
         group_window_s: float = 0.0,
         journal_segment_bytes: int | None = None,
         journal_compact_every: int | None = _DEFAULT_COMPACT,
@@ -171,7 +171,7 @@ class MessageBroker:
         with self._lock:
             self.faults = plan
             if self._journal is not None:
-                self._journal.faults = plan
+                self._journal.seg.faults = plan
 
     def _new_state(self, name: str) -> _QueueState:
         """Build one queue's state, honouring the condition factory."""
@@ -275,19 +275,12 @@ class MessageBroker:
             backlog = sum(
                 len(state.messages) for state in self._queues.values()
             ) + len(self._in_flight)
-            info: dict[str, object] = {
+            return {
                 "enabled": True,
                 "path": str(self._journal.path),
-                "appended_records": self._journal.appended_records,
-                "size_bytes": self._journal.size_bytes(),
                 "backlog": backlog,
-                "sync_policy": self._journal.sync_policy,
-                "fsyncs": self._journal.fsyncs,
-                "group_syncs": self._journal.group.syncs,
-                "group_writes_covered": self._journal.group.writes_covered,
+                **self._journal.info(),
             }
-            info.update(self._journal.info())
-            return info
 
     def compact_journal(self) -> bool:
         """Force a journal compaction now (operator/tooling entry).
@@ -321,7 +314,7 @@ class MessageBroker:
         mirror snapshot + segment GC) delays no broker operation.
         """
         if self._journal is not None:
-            self._journal.sync(seq)
+            self._journal.seg.sync(seq)
             self._journal.maybe_compact()
 
     # ------------------------------------------------------------------
@@ -661,4 +654,4 @@ class MessageBroker:
     def close(self) -> None:
         """Flush pending journal appends and release the handle."""
         if self._journal is not None:
-            self._journal.close()
+            self._journal.seg.close()

@@ -1,18 +1,17 @@
-"""Durable journal for the message broker (segmented — durability v2).
+"""Durable journal for the message broker.
 
-Same checksummed segment/manifest discipline as the minidb WAL — both
-compose :class:`repro.seglog.SegmentedLog` — including the sync-policy
-knob: under ``always`` every record is flushed and fsync'd before the
-operation that produced it returns; under ``group`` appends only buffer
-and concurrent operations share one fsync barrier through
-:class:`repro.durable.GroupCommitter` (the broker syncs after releasing
-its registry lock, so senders on different threads batch); ``off`` never
-fsyncs.  Replay rebuilds the set of *outstanding* messages: everything
-sent but not acknowledged — including messages that were in flight to a
-consumer when the broker died — reappears in its queue in send order,
-carrying the delivery count it had accumulated (so the redelivered flag
-survives a broker crash), and the dead-letter quarantine is restored
-alongside the live queues.
+A :class:`repro.seglog.SegmentedLog` (prefix ``journal``) — the same
+checksummed segment/manifest core, sync policy and group-commit barrier
+as the minidb WAL — plus the two things only the broker needs: the
+replay mirror with its compaction, and replay into broker state.  The
+broker appends under its registry lock and calls ``seg.sync`` after
+releasing it, so senders on different threads share fsync barriers.
+Replay rebuilds the set of *outstanding* messages: everything sent but
+not acknowledged — including messages that were in flight to a consumer
+when the broker died — reappears in its queue in send order, carrying
+the delivery count it had accumulated (so the redelivered flag survives
+a broker crash), and the dead-letter quarantine is restored alongside
+the live queues.
 
 Compaction (the journal's checkpoint): the journal maintains an
 in-memory *mirror* of what a replay of the on-disk records would
@@ -47,7 +46,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.durable import GroupCommitter, validate_sync_policy
 from repro.errors import JournalError
 from repro.messaging.message import Message
 from repro.resilience.faults import fire
@@ -55,11 +53,6 @@ from repro.seglog import DEFAULT_SEGMENT_BYTES, SegmentedLog
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.clock import Clock
-    from repro.resilience.faults import FaultPlan
-
-#: Sequence returned by ``always``-mode appends: the record is buffered
-#: and its fsync is owed to :meth:`BrokerJournal.sync`.
-_ALWAYS_SEQ = -1
 
 #: Default compaction threshold: tail records since the last compaction.
 DEFAULT_COMPACT_EVERY = 1024
@@ -78,12 +71,12 @@ class JournalSnapshot:
 
 
 class BrokerJournal:
-    """Append-only segmented journal with crash-tolerant replay."""
+    """A segmented log with a compaction mirror and broker-state replay."""
 
     def __init__(
         self,
         path: str | os.PathLike[str],
-        sync_policy: str = "always",
+        sync_policy: str = "group",
         group_window_s: float = 0.0,
         clock: "Clock | None" = None,
         segment_max_bytes: int = DEFAULT_SEGMENT_BYTES,
@@ -91,32 +84,23 @@ class BrokerJournal:
         compact_every: int | None = DEFAULT_COMPACT_EVERY,
         salvage: bool = False,
     ) -> None:
-        validate_sync_policy(sync_policy)
         self.path = Path(path)
-        self.sync_policy = sync_policy
-        #: Segment/manifest/checkpoint machinery shared with the WAL.
+        #: The durable log itself: appends, sync, counters, close.
         self.seg = SegmentedLog(
             self.path,
             error_cls=JournalError,
             prefix="journal",
+            sync_policy=sync_policy,
+            group_window_s=group_window_s,
+            clock=clock,
             segment_max_bytes=segment_max_bytes,
             segment_max_records=segment_max_records,
             salvage=salvage,
         )
-        #: Serialises buffered writes *and* their mirror updates across
-        #: broker threads — and lets compaction cut a consistent
-        #: (rotation watermark, mirror state) pair.
+        #: Serialises appends *and* their mirror updates across broker
+        #: threads — and lets compaction cut a consistent (rotation
+        #: watermark, mirror state) pair.
         self._write_lock = threading.Lock()
-        #: Shared fsync barrier for ``sync_policy="group"``.
-        self.group = GroupCommitter(window_s=group_window_s, clock=clock)
-        #: ``always``-mode appends buffered but not yet fsync'd (the
-        #: fsync is deferred to :meth:`sync` so it never runs under the
-        #: broker's registry lock; :meth:`close` drains it).
-        self._always_pending = 0
-        #: Records appended (buffered) through this handle's lifetime.
-        self.appended_records = 0
-        #: fsync barriers issued through this handle's lifetime.
-        self.fsyncs = 0
         #: Compaction trigger (tail records); ``None`` disables.
         self.compact_every = compact_every
         #: Compactions completed through this journal's lifetime.
@@ -134,109 +118,23 @@ class BrokerJournal:
         #: partial view of a history it has not read.
         self._mirror_ready = not self.seg.segments and self.seg.checkpoint is None
 
-    @property
-    def faults(self) -> "FaultPlan | None":
-        """Optional fault-injection plan (``repro.resilience.faults``)."""
-        return self.seg.faults
-
-    @faults.setter
-    def faults(self, plan: "FaultPlan | None") -> None:
-        self.seg.faults = plan
-
-    def tail_path(self) -> Path | None:
-        """The active segment file (tests poke torn/corrupt bytes here)."""
-        return self.seg.tail_path()
-
     def append(self, record: dict[str, Any]) -> int | None:
-        """Append one record; buffered now, durable per the sync policy.
+        """Append one record and fold it into the mirror.
 
-        Under ``always`` and ``group`` the record is written and flushed
-        here, and the returned sequence number must be handed to
-        :meth:`sync`, which performs (``always``) or waits for
-        (``group``) the fsync — the broker always syncs *after*
-        releasing its registry lock, so no fsync ever runs under it.
-        The operation that produced the record still does not return to
-        its caller until the record is on disk.  Returns ``None`` under
-        ``off``.
-
-        Fault point ``journal.append`` (context: ``record_type``):
-        ``crash`` dies before anything is written, ``corrupt`` leaves a
-        torn half-frame and then dies (the classic mid-fsync power cut),
-        ``drop`` silently skips the write (a lying disk — the mirror is
-        *not* updated, it tracks what is actually on disk).
+        Returns the ticket to hand to ``seg.sync`` once the broker has
+        released its registry lock (see
+        :meth:`repro.seglog.SegmentedLog.append`, which also documents
+        the ``journal.append`` fault point).  A dropped record is not
+        mirrored: the mirror tracks what is actually on disk.
         """
         with self._write_lock:
-            action = fire(
-                self.faults, "journal.append", record_type=record.get("type")
-            )
-            if action == "drop":
-                return None
-            if action == "corrupt":
-                self.seg.write_torn(record)
-                raise JournalError(
-                    f"injected torn write at {self.path} "
-                    f"(record type {record.get('type')!r})"
-                )
-            self.seg.write_frame(record)
-            self._mirror_apply(record)
-            self.appended_records += 1
-            if self.sync_policy == "group":
-                return self.group.note_write()
-            if self.sync_policy == "always":
-                self._always_pending += 1
-                return _ALWAYS_SEQ
-        return None
-
-    def sync(self, seq: int | None) -> None:
-        """Make the append that returned ``seq`` durable.
-
-        Under ``always`` this performs the record's own fsync (deferred
-        out of :meth:`append` so the broker can release its registry
-        lock first); under ``group`` it waits on — or leads — the
-        shared barrier.  A no-op for ``off`` and for ``seq=None``.
-        Many threads may call this concurrently; in group mode one of
-        them fsyncs on behalf of all.
-        """
-        if seq is None:
-            return
-        if self.sync_policy == "always":
-            self._always_fsync()
-            return
-        if self.sync_policy == "group":
-            self.group.wait_durable(seq, self._sync_barrier)
-
-    def _always_fsync(self) -> None:
-        """One per-record fsync (``always`` policy), outside all locks."""
-        self._always_pending = 0
-        self.seg.fsync_active()
-        self.fsyncs += 1
-
-    def _sync_barrier(self) -> None:
-        """One fsync covering every buffered append (leader only).
-
-        Safe across a rotation: the retiring segment was fsync'd before
-        the handle switched (see :mod:`repro.seglog`).
-        """
-        self.seg.fsync_active()
-        self.fsyncs += 1
-
-    def flush_pending(self) -> None:
-        """Drain any un-synced appends (close)."""
-        if self.sync_policy == "always":
-            if self._always_pending:
-                self._always_fsync()
-            return
-        if self.sync_policy != "group":
-            return
-        if self.group.pending() > 0:
-            self.group.wait_durable(self.group.latest(), self._sync_barrier)
-
-    def size_bytes(self) -> int:
-        """Current on-disk size of the journal (0 when it does not exist)."""
-        return self.seg.size_bytes()
+            seq = self.seg.append(record)
+            if seq is not None:
+                self._mirror_apply(record)
+            return seq
 
     def info(self) -> dict[str, Any]:
-        """Segment-level layout and counters, plus compaction state."""
+        """Durability counters and segment layout, plus compaction state."""
         info = self.seg.info()
         info["compactions"] = self.compactions
         info["compact_every"] = self.compact_every
@@ -381,7 +279,7 @@ class BrokerJournal:
         count reset exactly as the live operation does).  Also (re)builds
         the compaction mirror.
         """
-        fire(self.faults, "journal.replay")
+        fire(self.seg.faults, "journal.replay")
         with self._write_lock:
             self._mirror_reset()
             for record in self.seg.replay():
@@ -407,16 +305,3 @@ class BrokerJournal:
             ]
             snapshot.next_id = self._mirror_next_id
         return snapshot
-
-    def close(self) -> None:
-        """Release file handles (reopened lazily on next append).
-
-        Any still-buffered appends (a group-mode batch, or an
-        ``always``-mode record whose deferred fsync was never claimed)
-        are fsync'd first — a clean close never loses acknowledged work.
-        """
-        try:
-            if self.seg.handle is not None:
-                self.flush_pending()
-        finally:
-            self.seg.close()

@@ -53,8 +53,7 @@ from repro.minidb.transactions import (
     UndoUpdate,
 )
 from repro.minidb.types import coerce, from_wire, to_wire
-from repro.minidb.wal import WriteAheadLog
-from repro.seglog import DEFAULT_SEGMENT_BYTES
+from repro.seglog import DEFAULT_SEGMENT_BYTES, SegmentedLog
 
 _MISSING = object()
 
@@ -184,20 +183,20 @@ class Database:
     ``explain``/``select_with_parent``) never take that mutex: they pin
     the latest committed MVCC snapshot — O(1) under a tiny leaf lock —
     and resolve row version chains lock-free, so a read can never block
-    behind a writer's group-commit fsync window.  Explicit
-    multi-statement transactions share a single transaction slot and
-    must be serialised by the caller (the workflow engine holds its own
-    bean lock around them); threads that join the transaction read
-    their own uncommitted writes overlaid on the pinned snapshot.
-    Under ``sync_policy="group"`` the durability wait happens *after*
-    the mutex is released, which is what lets concurrent committers
-    share one fsync instead of queueing on the lock for theirs.
+    behind a writer's group-commit fsync window.  An explicit
+    multi-statement transaction belongs to the thread that opened it:
+    that thread reads its own uncommitted writes overlaid on the pinned
+    snapshot, and every other thread's ``begin``, DML and DDL waits —
+    without holding the mutex — until it commits or rolls back.  The
+    durability wait happens *after* the mutex is released, which is
+    what lets concurrent committers share one fsync instead of queueing
+    on the lock for theirs.
     """
 
     def __init__(
         self,
         wal_path: str | os.PathLike[str] | None = None,
-        sync_policy: str = "always",
+        sync_policy: str = "group",
         group_window_s: float = 0.0,
         clock: Any = None,
         segment_max_bytes: int = DEFAULT_SEGMENT_BYTES,
@@ -210,6 +209,10 @@ class Database:
         self._mvcc = SnapshotManager(clock=clock)
         self.stats = DatabaseStats()
         self._mutex = threading.RLock()
+        #: Signalled when an explicit transaction closes; built over the
+        #: statement mutex so waiting for another thread's transaction
+        #: releases it (see :meth:`_await_txn_slot`).
+        self._txn_closed = threading.Condition(self._mutex)
         #: Per-thread (wal sequence, start time) of a commit awaiting
         #: its durability barrier — drained by :meth:`_sync_pending`.
         self._pending_commit = threading.local()
@@ -244,10 +247,15 @@ class Database:
         #: blocked: the mutex is only held for the brief version pin).
         self._ckpt_lock = threading.Lock()
         self.sync_policy = sync_policy
-        self._wal: WriteAheadLog | None = None
+        #: The write-ahead log.  Each committed transaction (and each
+        #: DDL statement) is one record; see :meth:`_recover` for the
+        #: record shapes replay accepts.
+        self._wal: SegmentedLog | None = None
         if wal_path is not None:
-            self._wal = WriteAheadLog(
+            self._wal = SegmentedLog(
                 wal_path,
+                error_cls=RecoveryError,
+                prefix="wal",
                 sync_policy=sync_policy,
                 group_window_s=group_window_s,
                 clock=clock,
@@ -279,6 +287,7 @@ class Database:
         the lock-order witness observes the mutex → version nesting.
         """
         self._mutex = wrap("minidb.mutex", self._mutex)
+        self._txn_closed = threading.Condition(self._mutex)
         self._mvcc.wrap_lock(wrap)
 
     # ------------------------------------------------------------------
@@ -289,18 +298,33 @@ class Database:
         """Pin the latest committed snapshot for one read statement.
 
         O(1) under the version lock — never the statement mutex.  If the
-        calling thread participates in the open transaction, its
-        uncommitted writes overlay the snapshot (read-your-writes).
-        Must be released with :meth:`_unpin_view`.
+        calling thread owns the open transaction, its uncommitted writes
+        overlay the snapshot (read-your-writes).  Must be released with
+        :meth:`_unpin_view`.
         """
         txn = self._txn.current
-        if txn is not None and threading.get_ident() not in txn.participants:
+        if txn is not None and txn.owner != threading.get_ident():
             txn = None
         version, epoch = self._mvcc.pin()
         return _ReadView(version, epoch, txn)
 
     def _unpin_view(self, view: _ReadView) -> None:
         self._mvcc.unpin(view.version)
+
+    def _await_txn_slot(self) -> None:
+        """Wait (mutex held) until no other thread's transaction is open.
+
+        Every write statement and ``begin`` calls this first.  The wait
+        releases the statement mutex — the condition is built over it —
+        so the owner can finish its transaction meanwhile.  It cannot
+        deadlock: every transaction body (engine, ``TableBean``,
+        ``save_pattern``) runs only database statements, so an owner
+        never waits on a lock a waiter holds.
+        """
+        while self._txn.owned_elsewhere():
+            # conlint: allow=CC003 -- the condition is built over the
+            # statement mutex, so this wait releases the mutex it holds.
+            self._txn_closed.wait(timeout=1.0)
 
     def _writer_view(self) -> _ReadView:
         """Visibility for reads inside a write statement (mutex held):
@@ -348,6 +372,7 @@ class Database:
     def create_table(self, schema: TableSchema) -> None:
         """Create a table.  Not allowed inside a transaction."""
         with self._mutex:
+            self._await_txn_slot()
             self._forbid_in_transaction("create_table")
             self._catalog.add_table(schema)
             self._advance_epoch()
@@ -357,6 +382,7 @@ class Database:
     def drop_table(self, name: str) -> None:
         """Drop a table (fails if referenced by other tables)."""
         with self._mutex:
+            self._await_txn_slot()
             self._forbid_in_transaction("drop_table")
             self._catalog.remove_table(name)
             self._advance_epoch()
@@ -368,6 +394,7 @@ class Database:
     ) -> str:
         """Create a hash index over ``columns``; returns the index name."""
         with self._mutex:
+            self._await_txn_slot()
             self._forbid_in_transaction("create_index")
             entry = self._catalog.entry(table)
             entry.schema.validate_column_names(columns)
@@ -401,6 +428,7 @@ class Database:
     def create_ordered_index(self, table: str, column: str) -> str:
         """Create a sorted index on one column (enables range scans)."""
         with self._mutex:
+            self._await_txn_slot()
             self._forbid_in_transaction("create_ordered_index")
             entry = self._catalog.entry(table)
             entry.schema.validate_column_names([column])
@@ -434,6 +462,7 @@ class Database:
         original data model.
         """
         with self._mutex:
+            self._await_txn_slot()
             self._add_column_locked(table, column)
         self._sync_pending()
 
@@ -541,21 +570,13 @@ class Database:
         """
         if self._wal is None:
             return {"enabled": False}
-        info: dict[str, object] = {
+        return {
             "enabled": True,
             "path": str(self._wal.path),
-            "appended_records": self._wal.appended,
-            "size_bytes": self._wal.size_bytes(),
-            "sync_policy": self._wal.sync_policy,
-            "fsyncs": self._wal.fsyncs,
-            "fsync_wait_ms": self._wal.fsync_wait_ms,
-            "group_syncs": self._wal.group.syncs,
-            "group_writes_covered": self._wal.group.writes_covered,
+            **self._wal.info(),
+            "checkpoints": self.checkpoints,
+            "last_recovery": dict(self.last_recovery),
         }
-        info.update(self._wal.info())
-        info["checkpoints"] = self.checkpoints
-        info["last_recovery"] = dict(self.last_recovery)
-        return info
 
     def add_write_listener(self, listener: Callable[[str], None]) -> None:
         """Register ``listener(table_name)``, fired after each row write.
@@ -576,20 +597,31 @@ class Database:
     # ------------------------------------------------------------------
 
     def begin(self) -> None:
-        """Open an explicit transaction."""
+        """Open an explicit transaction owned by the calling thread.
+
+        Waits while another thread's transaction is open; raises
+        :class:`TransactionError` if this thread already has one.
+        """
         with self._mutex:
+            self._await_txn_slot()
             self._txn.begin()
 
     def commit(self) -> None:
-        """Commit the open transaction, making it durable."""
+        """Commit this thread's transaction, making it durable."""
         with self._mutex:
-            self._commit_locked()
+            try:
+                self._commit_locked()
+            finally:
+                self._txn_closed.notify_all()
         self._sync_pending()
 
     def rollback(self) -> None:
-        """Abort the open transaction, undoing all of its changes."""
+        """Abort this thread's transaction, undoing all of its changes."""
         with self._mutex:
-            self._rollback_locked()
+            try:
+                self._rollback_locked()
+            finally:
+                self._txn_closed.notify_all()
 
     @contextlib.contextmanager
     def transaction(self) -> Iterator[None]:
@@ -640,12 +672,10 @@ class Database:
     def _statement(self) -> Iterator[None]:
         """Run one DML statement, autocommitting if no transaction is open.
 
-        When an explicit transaction is open, the calling thread joins
-        it — its subsequent reads overlay the transaction's uncommitted
-        writes on their pinned snapshots.
+        Called after :meth:`_await_txn_slot`, so an open transaction is
+        the calling thread's own and the statement joins it.
         """
         if self._txn.active:
-            self._txn.join(threading.get_ident())
             yield
             return
         self._txn.begin()
@@ -663,6 +693,7 @@ class Database:
     def insert(self, table: str, values: dict[str, Any]) -> dict[str, Any]:
         """Insert one row; returns the stored row (defaults filled in)."""
         with self._mutex:
+            self._await_txn_slot()
             entry = self._catalog.entry(table)
             if self._txn.active:
                 with self._statement():
@@ -1200,6 +1231,7 @@ class Database:
         simple and cheap to maintain).
         """
         with self._mutex:
+            self._await_txn_slot()
             entry = self._catalog.entry(table)
             schema = entry.schema
             schema.validate_column_names(changes)
@@ -1315,6 +1347,7 @@ class Database:
         keys honour their declared ``on_delete`` action.
         """
         with self._mutex:
+            self._await_txn_slot()
             entry = self._catalog.entry(table)
             if where is not None:
                 entry.schema.validate_column_names(where.columns())
@@ -1522,7 +1555,7 @@ class Database:
         policy = self.checkpoint_policy
         if policy is None or self._wal is None or self._recovering:
             return
-        if not policy.due(self._wal.seg.records_since_checkpoint):
+        if not policy.due(self._wal.records_since_checkpoint):
             return
         if not self._ckpt_lock.acquire(blocking=False):
             return
@@ -1538,6 +1571,16 @@ class Database:
     def _recover(self) -> None:
         """Replay checkpoint + tail to rebuild state after (re)opening.
 
+        WAL record shapes::
+
+            {"type": "create_table", "schema": {...}}
+            {"type": "drop_table", "table": "PCR"}
+            {"type": "create_index", "table": "...", "columns": [...],
+             "unique": false, "ordered": false}
+            {"type": "add_column", "table": "...", "column": {...}}
+            {"type": "autoincrement", "table": "...", "next": 8}
+            {"type": "txn", "ops": [{"op": "insert"|"update"|"delete", ...}]}
+
         Recovery runs before any reader exists, so replay writes flat,
         already-committed chains (version = the current MVCC version)
         and maintains indexes exactly — no tokens, no deferred GC.
@@ -1550,6 +1593,11 @@ class Database:
         replayed = 0
         try:
             for record in self._wal.replay():
+                if not isinstance(record, dict) or "type" not in record:
+                    raise RecoveryError(
+                        f"malformed WAL record in {self._wal.path} "
+                        "(not a typed dict)"
+                    )
                 replayed += 1
                 kind = record["type"]
                 if kind == "create_table":
@@ -1595,7 +1643,7 @@ class Database:
                     raise RecoveryError(f"unknown WAL record type {kind!r}")
         finally:
             self._recovering = False
-        replay_shape = dict(self._wal.seg.last_replay)
+        replay_shape = dict(self._wal.last_replay)
         self.last_recovery = {
             "elapsed_ms": (time.perf_counter() - t0) * 1000.0,
             "records": replayed,
@@ -1668,6 +1716,12 @@ class Database:
         afterwards replays the checkpoint plus only the post-watermark
         tail, so recovery time stops growing with history.  Returns the
         number of records in the checkpoint snapshot.
+
+        Fault points ``checkpoint.write`` (before the side file is
+        written), ``checkpoint.swap`` (after it is durable, before the
+        manifest publishes it) and ``wal.compact`` (before old segments
+        are unlinked): a crash at any of them recovers to exactly the
+        old or the new organisation of the same committed state.
         """
         if self._wal is None:
             raise TransactionError("checkpoint requires a WAL-backed database")
@@ -1685,7 +1739,11 @@ class Database:
             captured = self._capture_meta_locked()
         try:
             count = self._wal.install_checkpoint(
-                self._snapshot_records(captured, version), watermark
+                self._snapshot_records(captured, version),
+                watermark,
+                write_point="checkpoint.write",
+                swap_point="checkpoint.swap",
+                gc_point="wal.compact",
             )
         finally:
             self._mvcc.unpin(version)

@@ -1,18 +1,20 @@
 """Transactions for minidb: undo log, redo buffer, and the MVCC token.
 
 The engine serialises all *writes* under its statement mutex, so the
-transaction machinery is about atomicity and visibility, not mutual
-exclusion:
+transaction machinery is about atomicity, visibility and ownership:
 
 * every mutation appends an **undo entry**; ``rollback`` replays the undo
   entries in reverse through the engine, restoring heap and indexes;
 * every mutation also appends a **redo operation**; ``commit`` hands the
   redo batch to the write-ahead log as one atomic record;
 * the :class:`Transaction` object itself is the **MVCC token**: the
-  heap stamps every uncommitted chain entry with it, and a reader whose
-  thread has joined the transaction (``participants``) overlays those
-  entries on its pinned snapshot — read-your-writes without publishing
-  anything to other readers.
+  heap stamps every uncommitted chain entry with it, and reads on the
+  thread that opened it (``owner``) overlay those entries on their
+  pinned snapshot — read-your-writes without publishing anything to
+  other readers;
+* the transaction belongs to its ``owner`` thread: only that thread may
+  write into it, commit it or roll it back.  The engine makes every
+  other thread's writes wait until it closes.
 
 At commit the engine walks ``touched`` to restamp the token entries with
 the new version number, then hands ``deferred`` (the superseded images
@@ -70,13 +72,13 @@ class Transaction:
     path.
     """
 
-    __slots__ = ("undo", "redo", "participants", "touched", "deferred")
+    __slots__ = ("undo", "redo", "owner", "touched", "deferred")
 
     def __init__(self) -> None:
         self.undo: list[UndoEntry] = []
         self.redo: list[dict[str, Any]] = []
-        #: Thread idents whose reads overlay this transaction's writes.
-        self.participants: set[int] = set()
+        #: Ident of the thread that opened (and alone may use) it.
+        self.owner = threading.get_ident()
         #: ``(table entry, rowid)`` of every chain holding entries
         #: stamped with this token — restamped to the commit version at
         #: publish.
@@ -104,17 +106,16 @@ class TransactionManager:
         return self._current
 
     def begin(self) -> Transaction:
-        """Open an explicit transaction; the opening thread joins it."""
+        """Open a transaction owned by the calling thread."""
         if self._current is not None:
             raise TransactionError("transaction already in progress")
         self._current = Transaction()
-        self._current.participants.add(threading.get_ident())
         return self._current
 
-    def join(self, ident: int) -> None:
-        """Let thread ``ident`` read the open transaction's writes."""
-        if self._current is not None:
-            self._current.participants.add(ident)
+    def owned_elsewhere(self) -> bool:
+        """Whether the open transaction belongs to another thread."""
+        txn = self._current
+        return txn is not None and txn.owner != threading.get_ident()
 
     def record(self, undo: UndoEntry, redo: dict[str, Any]) -> None:
         """Log one mutation into the open transaction.
@@ -129,7 +130,7 @@ class TransactionManager:
 
     def take_commit(self) -> Transaction:
         """Close the transaction, returning it for publish + WAL append."""
-        if self._current is None:
+        if self._current is None or self.owned_elsewhere():
             raise TransactionError("commit without begin")
         txn = self._current
         self._current = None
@@ -137,7 +138,7 @@ class TransactionManager:
 
     def take_rollback(self) -> list[UndoEntry]:
         """Close the transaction, returning undo entries in reverse order."""
-        if self._current is None:
+        if self._current is None or self.owned_elsewhere():
             raise TransactionError("rollback without begin")
         undo = list(reversed(self._current.undo))
         self._current = None

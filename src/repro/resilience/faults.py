@@ -1,17 +1,19 @@
 """Deterministic, seeded fault injection (the chaos substrate).
 
 A :class:`FaultPlan` is an ordered list of :class:`FaultRule` objects.
-Instrumented call sites — the minidb WAL, the broker and its journal,
-the agent manager and the template agent — each hold an optional
-``faults`` attribute (``None`` in production, costing one attribute read
-per operation) and call :func:`fire` at their injection points:
+Instrumented call sites — the durable log core (``repro.seglog``,
+under its ``wal`` and ``journal`` prefixes), the broker, the agent
+manager and the template agent — each hold an optional ``faults``
+attribute (``None`` in production, costing one attribute read per
+operation) and call :func:`fire` at their injection points:
 
 =========================  ==============================================
 point                      where it sits
 =========================  ==============================================
 ``wal.append``             before a minidb WAL record is written
-``wal.fsync``              after the WAL record is durable, before
-                           returning
+``wal.fsync``              in the group-commit barrier leader, after
+                           the WAL records are written, before the
+                           fsync that makes them durable
 ``wal.rotate``             before the active WAL segment is sealed
 ``wal.manifest.swap``      after the WAL manifest tmp file is durable,
                            before it replaces the live manifest
@@ -20,6 +22,7 @@ point                      where it sits
                            manifest publishes it
 ``wal.compact``            before superseded WAL segments are unlinked
 ``journal.append``         before a broker-journal record is written
+``journal.fsync``          like ``wal.fsync``, for the journal's barrier
 ``journal.replay``         at the start of a broker-journal replay
 ``journal.rotate``         before the active journal segment is sealed
 ``journal.manifest.swap``  like ``wal.manifest.swap``, for the journal

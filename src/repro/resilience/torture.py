@@ -7,7 +7,8 @@ journal.  Two sweeps:
 stack (``wal.append``, ``wal.fsync``, ``wal.rotate``,
 ``wal.manifest.swap``, ``checkpoint.write``, ``checkpoint.swap``,
 ``wal.compact``, and the journal equivalents including
-``journal.compact``/``.swap``/``.gc``), and for every *occurrence* of
+``journal.fsync`` and ``journal.compact``/``.swap``/``.gc``), and for
+every *occurrence* of
 that point under a seeded workload, the process "dies" exactly there
 (:class:`~repro.errors.FaultInjected`), the store is reopened, and the
 recovered state is checked against the committed prefix: it must equal
@@ -73,6 +74,7 @@ DB_POINTS = (
 #: Fault points swept against the broker-journal workload.
 JOURNAL_POINTS = (
     "journal.append",
+    "journal.fsync",
     "journal.rotate",
     "journal.manifest.swap",
     "journal.compact",

@@ -1,9 +1,10 @@
-"""Segmented, checksummed durable-log substrate (durability v2).
+"""Segmented, checksummed durable log: the one durability core.
 
 Both durable logs in the system — the minidb write-ahead log and the
-broker journal — share the same on-disk layout, implemented once here
-and composed by :class:`repro.minidb.wal.WriteAheadLog` and
-:class:`repro.messaging.journal.BrokerJournal`:
+broker journal — are a :class:`SegmentedLog`: :class:`repro.minidb.
+engine.Database` holds one directly, :class:`repro.messaging.journal.
+BrokerJournal` wraps one with its replay mirror and compaction.  The
+on-disk layout:
 
 ``{base}.manifest``
     One checksummed frame holding ``{"version": 2, "segments": [...],
@@ -23,6 +24,9 @@ and composed by :class:`repro.minidb.wal.WriteAheadLog` and
 ``{base}.....quarantined``
     Corrupt suffixes set aside by the opt-in salvage mode.
 
+A file at ``{base}`` itself with no manifest beside it is refused with
+the owner's error class: it is not a log this module wrote.
+
 Record framing is ``"{crc32:08x} {seq} {json}\\n"`` where the CRC32
 covers ``"{seq} {json}"``.  A torn final line in the *active* segment is
 tolerated (the write never committed) and truncated away before the next
@@ -33,17 +37,31 @@ anywhere else raises the owner's error class with structured diagnostics
 segment — is quarantined instead, and replay stops at the last good
 record rather than refusing to start.
 
-Locking: every mutation of the active handle and append counters is
-serialised by the *owner's* write lock; rotation and manifest/checkpoint
-installation additionally take the internal ``_state_lock`` because a
-checkpoint installs its manifest outside the owner's append path.  The
-rare fsyncs under these locks (rotation seals, manifest swaps) carry
-``conlint: allow=CC003`` justifications; the per-record fsync discipline
-stays in the owners, outside all locks.  Group-commit safety across a
-rotation holds because the outgoing segment is fsync'd *before* the
-handle switches: any record a barrier claims durable is either in a
-sealed (already-fsync'd) segment or in the segment whose handle the
-barrier leader fsyncs.
+Durability is a two-step handshake, ``seq = append(record)`` under the
+owner's lock, then ``sync(seq)`` after the owner has released it.  When
+the record becomes durable is governed by the sync policy:
+
+``group``
+    (the default) ``append`` writes and flushes; ``sync`` waits on — or
+    leads — a :class:`GroupCommitter` barrier whose single fsync covers
+    every record written so far.  The caller does not return until its
+    record is durable.  One writer pays exactly one fsync per commit;
+    concurrent writers share barriers.
+``off``
+    flush only, never fsync — for benchmarks and throwaway state; a
+    crash may lose the tail of the log but never corrupts it.
+
+Locking: every append is serialised by the *owner's* write lock
+(``Database._mutex``, ``BrokerJournal._write_lock``); rotation and
+manifest/checkpoint installation additionally take the internal
+``_state_lock`` because a checkpoint installs its manifest outside the
+owner's append path.  The rare fsyncs under these locks (rotation seals,
+manifest swaps) carry ``conlint: allow=CC003`` justifications; the
+per-commit fsync runs in :meth:`SegmentedLog.sync`, outside all locks.
+Group-commit safety across a rotation holds because the outgoing segment
+is fsync'd *before* the handle switches: any record a barrier claims
+durable is either in a sealed (already-fsync'd) segment or in the
+segment whose handle the barrier leader fsyncs.
 """
 
 from __future__ import annotations
@@ -52,23 +70,134 @@ import json
 import os
 import re
 import threading
+import time
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.resilience.faults import fire
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.resilience.clock import Clock
     from repro.resilience.faults import FaultPlan
 
-__all__ = ["DEFAULT_SEGMENT_BYTES", "SegmentedLog"]
+__all__ = [
+    "DEFAULT_SEGMENT_BYTES",
+    "SYNC_POLICIES",
+    "GroupCommitter",
+    "SegmentedLog",
+]
 
 #: Rotation threshold: a comfortable default for laboratory workloads —
 #: small enough that the tail replayed after a checkpoint stays short,
 #: large enough that rotation fsyncs are rare.
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 
+#: The durability disciplines (see the module docstring): ``group``
+#: shares fsync barriers between concurrent committers, ``off`` only
+#: flushes (benchmarks / throwaway state).
+SYNC_POLICIES = ("group", "off")
+
 _SUFFIX_RE = re.compile(r"\.(\d{8})\.(seg|ckpt)$")
+
+
+class GroupCommitter:
+    """Leader-elected fsync batching: one fsync for many committers.
+
+    Each writer, after its buffered write lands in the OS page cache,
+    calls :meth:`note_write` and receives a monotonically increasing
+    sequence number; to become durable it calls :meth:`wait_durable`
+    with it.  If the fsync frontier already covers the sequence it
+    returns at once.  Otherwise one waiter elects itself *leader*,
+    optionally sleeps a short commit window so more writers pile in,
+    runs ``do_sync`` once on behalf of everyone written so far, advances
+    the frontier and wakes the followers.  A leader whose ``do_sync``
+    raises hands leadership back and wakes the other waiters so one of
+    them can retry; the exception propagates to the leader's caller.
+    """
+
+    def __init__(
+        self, window_s: float = 0.0, clock: "Clock | None" = None
+    ) -> None:
+        #: How long a leader waits for stragglers before syncing.  Zero
+        #: still batches: whatever was written while the previous fsync
+        #: ran is covered by the next one.
+        self.window_s = window_s
+        #: The straggler-window sleep goes through an injectable clock
+        #: so the chaos suite can drive a non-zero window without wall
+        #: time.  Default is the real wall clock.
+        if clock is None:
+            from repro.resilience.clock import SystemClock
+
+            clock = SystemClock()
+        self.clock = clock
+        self._cond = threading.Condition()
+        self._written = 0  # highest sequence handed out
+        self._synced = 0  # highest sequence known durable
+        self._leader_active = False
+        #: fsync barriers actually issued.
+        self.syncs = 0
+        #: Writes made durable across all barriers (>= syncs; the ratio
+        #: is the batching factor the benchmarks report).
+        self.writes_covered = 0
+
+    def note_write(self) -> int:
+        """Register one buffered write; returns its durability sequence."""
+        with self._cond:
+            self._written += 1
+            return self._written
+
+    def pending(self) -> int:
+        """Writes not yet covered by a barrier (0 when all durable)."""
+        with self._cond:
+            return self._written - self._synced
+
+    def latest(self) -> int:
+        """The highest sequence handed out so far."""
+        with self._cond:
+            return self._written
+
+    def wait_durable(  # conlint: blocking -- do_sync is an fsync barrier
+        self, seq: int, do_sync: Callable[[], None]
+    ) -> None:
+        """Block until ``seq`` is durable, fsyncing as elected leader.
+
+        ``do_sync`` runs in exactly one thread per barrier and must make
+        every buffered write issued so far durable.  Callers must not
+        hold any lock here: the leader blocks in the fsync, followers
+        block on the condition (the ``conlint: blocking`` annotation
+        above teaches the static analyzer this, since ``do_sync`` itself
+        is an uninspectable callable).
+        """
+        while True:
+            with self._cond:
+                if self._synced >= seq:
+                    return
+                if self._leader_active:
+                    # A barrier is in flight; it may or may not cover us.
+                    self._cond.wait(timeout=1.0)
+                    continue
+                self._leader_active = True
+                target = self._written
+            if self.window_s > 0.0:
+                self.clock.sleep(self.window_s)
+                with self._cond:
+                    target = self._written  # stragglers joined the batch
+            try:
+                do_sync()
+            except BaseException:
+                with self._cond:
+                    self._leader_active = False
+                    self._cond.notify_all()
+                raise
+            with self._cond:
+                covered = target - self._synced
+                if covered > 0:
+                    self._synced = target
+                    self.syncs += 1
+                    self.writes_covered += covered
+                self._leader_active = False
+                self._cond.notify_all()
 
 
 def frame_record(seq: int, record: Any) -> str:
@@ -146,15 +275,18 @@ class _Corruption(Exception):
 
 
 class SegmentedLog:
-    """The shared segment/manifest/checkpoint machinery.
+    """One durable log: segments, manifest, checkpoints and sync policy.
 
     ``error_cls`` is the owner's corruption error
     (:class:`~repro.errors.RecoveryError` or
     :class:`~repro.errors.JournalError`) — it must accept the structured
     keyword fields of :class:`repro.errors.LogCorruptionDetail`.
     ``prefix`` names the owner's fault-point namespace (``wal`` /
-    ``journal``): rotation fires ``{prefix}.rotate`` and every manifest
-    swap fires ``{prefix}.manifest.swap``.
+    ``journal``): appends fire ``{prefix}.append``, sync barriers
+    ``{prefix}.fsync``, rotation ``{prefix}.rotate`` and every manifest
+    swap ``{prefix}.manifest.swap``.  ``sync_policy``,
+    ``group_window_s`` and ``clock`` configure durability (see the
+    module docstring); an unknown policy raises ``ValueError``.
     """
 
     def __init__(
@@ -163,19 +295,32 @@ class SegmentedLog:
         *,
         error_cls: type,
         prefix: str,
+        sync_policy: str = "group",
+        group_window_s: float = 0.0,
+        clock: "Clock | None" = None,
         segment_max_bytes: int = DEFAULT_SEGMENT_BYTES,
         segment_max_records: int | None = None,
         salvage: bool = False,
     ) -> None:
+        if sync_policy not in SYNC_POLICIES:
+            raise ValueError(
+                f"unknown sync_policy {sync_policy!r}; "
+                f"expected one of {SYNC_POLICIES}"
+            )
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.error_cls = error_cls
         self.prefix = prefix
+        self.sync_policy = sync_policy
         self.segment_max_bytes = segment_max_bytes
         self.segment_max_records = segment_max_records
         self.salvage = salvage
         #: Optional fault-injection plan (``repro.resilience.faults``).
         self.faults: "FaultPlan | None" = None
+        self._append_point = f"{prefix}.append"
+        self._fsync_point = f"{prefix}.fsync"
+        #: Shared fsync barrier for ``sync_policy="group"``.
+        self.group = GroupCommitter(window_s=group_window_s, clock=clock)
         #: Serialises rotation / checkpoint installation / manifest
         #: swaps (appends are already serialised by the owner's lock,
         #: but a checkpoint installs outside the owner's append path).
@@ -195,6 +340,13 @@ class SegmentedLog:
         self._truncate_at: tuple[int, int] | None = None
         self._scanned = False
         # -- counters surfaced through info() --------------------------
+        #: Records appended (buffered) through this handle's lifetime.
+        self.appended_records = 0
+        #: fsync barriers issued through this handle's lifetime.
+        self.fsyncs = 0
+        #: Cumulative wall time spent inside fsync barriers (ms) —
+        #: the raw material for commit-stage latency attribution.
+        self.fsync_wait_ms = 0.0
         self.rotations = 0
         self.checkpoints_installed = 0
         self.manifest_swaps = 0
@@ -218,12 +370,6 @@ class SegmentedLog:
     def checkpoint_path(self, watermark: int) -> Path:
         return self.path.parent / f"{self.path.name}.{watermark:08d}.ckpt"
 
-    def tail_path(self) -> Path | None:
-        """The active (highest-id) segment file, or ``None`` when fresh."""
-        if not self._segments:
-            return None
-        return self.segment_path(self._segments[-1])
-
     @property
     def segments(self) -> list[int]:
         return list(self._segments)
@@ -232,23 +378,18 @@ class SegmentedLog:
     def checkpoint(self) -> dict[str, Any] | None:
         return dict(self._checkpoint) if self._checkpoint else None
 
-    @property
-    def handle(self):
-        return self._handle
-
-    # -- open / adopt -------------------------------------------------------
+    # -- open ---------------------------------------------------------------
 
     def _load(self) -> None:
         if self.manifest_path.exists():
             self._load_manifest()
             self._clean_strays()
-            if self.path.exists():
-                # An interrupted legacy adoption left the v1 file behind
-                # after its converted segment was registered; the
-                # manifest is the source of truth.
-                self.path.unlink()
         elif self.path.exists():
-            self._adopt_legacy()
+            raise self.error_cls(
+                f"{self.path} is not a segmented log (no manifest beside it)",
+                path=str(self.path),
+                reason="manifest",
+            )
 
     def _load_manifest(self) -> None:
         raw = self.manifest_path.read_bytes().strip()
@@ -267,67 +408,6 @@ class SegmentedLog:
         self._segments = sorted(int(s) for s in record.get("segments", []))
         self._checkpoint = record.get("checkpoint") or None
         self._next_seq = int(record.get("next_seq", 1))
-
-    def _adopt_legacy(self) -> None:
-        """Migrate a v1 single-file JSON-lines log into segment 1.
-
-        The v1 torn-final-line tolerance carries over; mid-file
-        corruption is diagnosed (or salvaged) just like a v2 segment.
-        """
-        records: list[Any] = []
-        quarantine_from: int | None = None
-        offset = 0
-        pending: tuple[int, bytes] | None = None
-        with self.path.open("rb") as handle:
-            for raw in handle:
-                start = offset
-                offset += len(raw)
-                stripped = raw.strip()
-                if not stripped:
-                    continue
-                if pending is not None:
-                    break  # corruption followed by more data: not a tear
-                try:
-                    records.append(json.loads(stripped.decode("utf-8")))
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    pending = (start, stripped)
-        if pending is not None and pending[0] + len(pending[1]) < offset:
-            # Mid-file corruption in the legacy log.
-            if not self.salvage:
-                raise self.error_cls(
-                    f"corrupt legacy record at {self.path} "
-                    f"offset {pending[0]}",
-                    path=str(self.path),
-                    offset=pending[0],
-                    reason="legacy",
-                )
-            quarantine_from = pending[0]
-        seg = self.segment_path(1)
-        with seg.open("w", encoding="utf-8") as out:
-            for index, record in enumerate(records, 1):
-                out.write(frame_record(index, record))
-            out.flush()
-            os.fsync(out.fileno())
-        if quarantine_from is not None:
-            qpath = Path(str(self.path) + ".quarantined")
-            with self.path.open("rb") as src:
-                src.seek(quarantine_from)
-                qpath.write_bytes(src.read())
-            self.salvage_report = {
-                "path": str(self.path),
-                "offset": quarantine_from,
-                "reason": "legacy",
-                "quarantined": [qpath.name],
-            }
-        self._segments = [1]
-        self._segment_counts = {1: len(records)}
-        self._checkpoint = None
-        self._next_seq = len(records) + 1
-        self.records_since_checkpoint = len(records)
-        with self._state_lock:
-            self._swap_manifest_locked()
-        self.path.unlink()
-        self._scanned = True
 
     def _clean_strays(self) -> None:
         """Remove files the manifest does not reference (crash leftovers)."""
@@ -414,13 +494,89 @@ class SegmentedLog:
         except OSError:
             self._active_bytes = 0
 
-    def write_frame(self, record: Any) -> int:
-        """Append one checksummed frame; caller holds the owner's lock.
+    def append(self, record: dict[str, Any]) -> int | None:
+        """Write one record; returns the ticket :meth:`sync` takes.
 
-        Returns the record's sequence number.  Buffers and flushes only
-        — the durability fsync stays with the owner's sync policy.
-        Rotation happens here when the active segment crosses its
-        size/record threshold.
+        The caller holds its own write lock and hands the ticket to
+        :meth:`sync` only *after* releasing it, so no fsync ever runs
+        under an owner's lock.  The ticket is a positive durability
+        sequence under ``group``, ``0`` under ``off`` (nothing to wait
+        for), and ``None`` when an injected ``drop`` swallowed the
+        record — nothing was written.
+
+        Fault point ``{prefix}.append`` (context: ``record_type``):
+        ``crash`` dies before anything hits the file — the operation
+        never committed; ``corrupt`` leaves a torn half-frame and then
+        dies, exactly the state a power cut mid-``write`` produces
+        (replay discards it when final, refuses the log otherwise);
+        ``drop`` is a lying disk — the caller believes the record
+        durable.  Rotation (``{prefix}.rotate``) happens inside the
+        write when the active segment crosses its threshold.
+        """
+        record_type = record.get("type")
+        action = fire(self.faults, self._append_point, record_type=record_type)
+        if action == "drop":
+            return None
+        if action == "corrupt":
+            self._write_torn(record)
+            raise self.error_cls(
+                f"injected torn write at {self.path} "
+                f"(record type {record_type!r})"
+            )
+        self.write_frame(record)
+        self.appended_records += 1
+        if self.sync_policy == "group":
+            return self.group.note_write()
+        return 0
+
+    def sync(self, seq: int | None) -> None:
+        """Block until the append that returned ``seq`` is durable.
+
+        Call with no lock held: under ``group`` this waits on — or, as
+        the elected leader, runs — the shared fsync barrier, so one
+        writer pays one fsync per commit and concurrent writers share
+        them.  A no-op for the ``0``/``None`` tickets of ``off`` and of
+        dropped appends.
+        """
+        if seq:
+            self.group.wait_durable(seq, self._sync_barrier)
+
+    def flush_pending(self) -> None:
+        """Make every buffered append durable (``off`` buffers none)."""
+        if self.group.pending() > 0:
+            self.group.wait_durable(self.group.latest(), self._sync_barrier)
+
+    def _sync_barrier(self) -> None:
+        """One fsync covering every buffered append (barrier leader only).
+
+        Fault point ``{prefix}.fsync`` (context ``record_type="group"``)
+        fires first: a crash there dies after the writes but before the
+        fsync returned — the records may or may not survive, and replay
+        treats whatever is on disk as the truth.  Safe across a
+        rotation: the retiring segment was fsync'd before the handle
+        switched, so fsyncing whatever handle is active now covers every
+        record written so far — and a handle retired *and* closed by two
+        intervening rotations is skipped, because each rotation fsync'd
+        the segment it sealed.
+        """
+        fire(self.faults, self._fsync_point, record_type="group")
+        handle = self._handle
+        t0 = time.perf_counter()
+        if handle is not None:
+            try:
+                os.fsync(handle.fileno())
+            except ValueError:  # pragma: no cover - doubly-rotated handle
+                pass
+        self.fsync_wait_ms += (time.perf_counter() - t0) * 1000.0
+        self.fsyncs += 1
+
+    def write_frame(self, record: Any) -> int:
+        """Write one checksummed frame; caller holds the owner's lock.
+
+        Returns the record's log sequence number.  Buffers and flushes
+        only, fires no fault point and counts nothing — :meth:`append`
+        is the durable entry point.  Rotation happens here when the
+        active segment crosses its size/record threshold.
         """
         self._ensure_scanned()
         with self._state_lock:
@@ -441,7 +597,7 @@ class SegmentedLog:
             self.rotate()
         return seq
 
-    def write_torn(self, record: Any) -> None:
+    def _write_torn(self, record: Any) -> None:
         """Leave a torn half-frame on disk (the ``corrupt`` fault action)."""
         self._ensure_scanned()
         with self._state_lock:
@@ -497,21 +653,6 @@ class SegmentedLog:
             self._swap_manifest_locked()
         self.rotations += 1
         return sealed
-
-    def fsync_active(self) -> None:
-        """fsync the active handle; owners wrap this with their timing.
-
-        Tolerates the handle having been retired *and* closed by two
-        intervening rotations — each rotation fsync'd the segment it
-        sealed, so skipping a closed handle never skips durability.
-        """
-        handle = self._handle
-        if handle is None:
-            return
-        try:
-            os.fsync(handle.fileno())
-        except ValueError:  # pragma: no cover - doubly-rotated handle
-            pass
 
     # -- checkpoint install / compaction --------------------------------------
 
@@ -778,7 +919,7 @@ class SegmentedLog:
     def size_bytes(self) -> int:
         """Total on-disk footprint: manifest + checkpoint + segments."""
         total = 0
-        paths = [self.manifest_path, self.path]
+        paths = [self.manifest_path]
         paths.extend(self.segment_path(s) for s in self._segments)
         if self._checkpoint:
             paths.append(self.path.parent / self._checkpoint["file"])
@@ -790,8 +931,15 @@ class SegmentedLog:
         return total
 
     def info(self) -> dict[str, Any]:
-        """Segment-level stats merged into the owners' ``*_info()``."""
+        """Durability counters and segment layout, for the owners' ``*_info()``."""
         return {
+            "sync_policy": self.sync_policy,
+            "appended_records": self.appended_records,
+            "fsyncs": self.fsyncs,
+            "fsync_wait_ms": self.fsync_wait_ms,
+            "group_syncs": self.group.syncs,
+            "group_writes_covered": self.group.writes_covered,
+            "size_bytes": self.size_bytes(),
             "segments": len(self._segments),
             "segment_ids": list(self._segments),
             "checkpoint": self.checkpoint,
@@ -805,16 +953,21 @@ class SegmentedLog:
             "salvaged": self.salvage_report,
         }
 
-    def flush(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-
     def close(self) -> None:
-        """Release file handles (reopened lazily on next append)."""
-        with self._state_lock:
-            if self._retired is not None:
-                self._retired.close()
-                self._retired = None
+        """Drain buffered appends, then release the file handles.
+
+        A clean close never loses acknowledged work: a ``group`` batch
+        still owed its fsync is synced first.  Handles reopen lazily on
+        the next append.
+        """
+        try:
             if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+                self.flush_pending()
+        finally:
+            with self._state_lock:
+                if self._retired is not None:
+                    self._retired.close()
+                    self._retired = None
+                if self._handle is not None:
+                    self._handle.close()
+                    self._handle = None

@@ -77,7 +77,7 @@ class ExpDB:
 def build_expdb(
     wal_path: str | os.PathLike[str] | None = None,
     install_schema: bool = True,
-    sync_policy: str = "always",
+    sync_policy: str = "group",
     group_window_s: float = 0.0,
 ) -> ExpDB:
     """Build a fresh Exp-DB application.
@@ -85,8 +85,9 @@ def build_expdb(
     ``wal_path`` enables durability; ``install_schema=False`` skips the
     core schema (for reopening an existing WAL, which replays its own
     DDL).  ``sync_policy``/``group_window_s`` select the WAL durability
-    discipline (see :mod:`repro.minidb.wal`) — ``"group"`` batches
-    concurrent commit fsyncs behind one barrier.
+    discipline (see :mod:`repro.seglog`) — ``"group"`` batches
+    concurrent commit fsyncs behind one barrier, ``"off"`` never
+    fsyncs.
     """
     db = Database(
         wal_path, sync_policy=sync_policy, group_window_s=group_window_s

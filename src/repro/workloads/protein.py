@@ -375,7 +375,7 @@ def build_protein_lab(
     retry_policy: RetryPolicy | None = None,
     lease_ttl_s: float = 300.0,
     max_redispatches: int = 1,
-    sync_policy: str = "always",
+    sync_policy: str = "group",
     group_window_s: float = 0.0,
     profiling: bool = False,
     slos=(),
@@ -402,7 +402,8 @@ def build_protein_lab(
     delivery policy; ``lease_ttl_s``/``max_redispatches`` configure
     the liveness sweep.  ``sync_policy``/``group_window_s`` select the
     durability discipline for both the WAL and the broker journal
-    (``"group"`` shares fsync barriers between concurrent committers).
+    (``"group"`` shares fsync barriers between concurrent committers,
+    ``"off"`` never fsyncs).
 
     ``profiling`` (requires ``observability``) turns on the
     ``repro.obs.prof`` layer — latency attribution, lock contention

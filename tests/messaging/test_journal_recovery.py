@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import JournalError
 from repro.messaging import MessageBroker
+from repro.seglog import frame_record
 
 
 @pytest.fixture
@@ -110,10 +111,14 @@ class TestPersistence:
         assert excinfo.value.detail()["segment"] == 1
 
     def test_unknown_record_type_raises(self, journal):
-        # A v1 single-file journal is adopted on open; replay then
-        # rejects the unknown record type.
-        journal.write_text('{"type": "mystery"}\n')
-        with pytest.raises(JournalError):
+        # A well-framed record of a type the journal does not know:
+        # the frame passes its checksum, replay rejects the type.
+        broker = MessageBroker(journal)
+        broker.declare_queue("q")
+        broker.close()
+        with open(tail_segment(journal), "a", encoding="utf-8") as handle:
+            handle.write(frame_record(99, {"type": "mystery"}))
+        with pytest.raises(JournalError, match="mystery"):
             MessageBroker(journal)
 
     def test_persistent_flag(self, journal):

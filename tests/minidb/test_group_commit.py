@@ -41,15 +41,20 @@ class TestSyncPolicyKnob:
         assert info["fsyncs"] == 0
         db.close()
 
-    def test_always_fsyncs_every_append(self, wal_path):
-        db = Database(wal_path)  # sync_policy="always" is the default
+    def test_always_policy_is_gone(self, wal_path):
+        with pytest.raises(ValueError):
+            Database(wal_path, sync_policy="always")
+
+    def test_one_writer_fsyncs_once_per_commit(self, wal_path):
+        db = Database(wal_path)  # sync_policy="group" is the default
         db.create_table(person_schema())
         for i in range(5):
             db.insert("Person", {"name": f"p{i}"})
         info = db.wal_info()
-        assert info["sync_policy"] == "always"
+        assert info["sync_policy"] == "group"
         assert info["fsyncs"] == info["appended_records"] == 6
         db.close()
+        assert db.wal_info()["fsyncs"] == 6  # nothing left for close
 
     def test_off_never_fsyncs_but_clean_close_is_durable(self, wal_path):
         db = Database(wal_path, sync_policy="off")
@@ -182,8 +187,8 @@ class TestInjectableClock:
     control."""
 
     def test_manual_clock_absorbs_the_straggler_window(self):
-        from repro.durable import GroupCommitter
         from repro.resilience import ManualClock
+        from repro.seglog import GroupCommitter
 
         clock = ManualClock()
         committer = GroupCommitter(window_s=5.0, clock=clock)
@@ -213,7 +218,7 @@ class TestInjectableClock:
         db.close()
 
     def test_default_clock_is_wall_clock(self):
-        from repro.durable import GroupCommitter
         from repro.resilience.clock import SystemClock
+        from repro.seglog import GroupCommitter
 
         assert isinstance(GroupCommitter().clock, SystemClock)

@@ -2,10 +2,11 @@
 handling.
 
 Covers the segment/manifest machinery through the public ``Database``
-and ``WriteAheadLog`` surfaces: rotation at thresholds, streaming O(1)
+and ``SegmentedLog`` surfaces: rotation at thresholds, streaming O(1)
 replay, the fsync-the-parent-directory rule for atomic swaps,
-structured corruption diagnostics, opt-in salvage, v1 log adoption, and
-crash-exactness at every checkpoint fault point.
+structured corruption diagnostics, opt-in salvage, refusal of a file
+that is not a segmented log, and crash-exactness at every checkpoint
+fault point.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from repro.errors import FaultInjected, RecoveryError
 from repro.minidb import EQ, Column, ColumnType, Database, TableSchema
 from repro.minidb.engine import CheckpointPolicy
-from repro.minidb.wal import WriteAheadLog
+from repro.seglog import SegmentedLog
 from repro.resilience import FaultPlan, ManualClock
 
 
@@ -136,14 +137,14 @@ class TestStreamingReplay:
         """Replay streams frame-by-frame: peak replay memory stays far
         below the on-disk size of the log."""
         path = tmp_path / "big.wal"
-        wal = WriteAheadLog(path)
+        wal = SegmentedLog(path, error_cls=RecoveryError, prefix="wal")
         payload = "x" * 200
         record = {"type": "txn", "ops": [{"op": "insert", "v": payload}]}
         for __ in range(10_000):
-            wal.seg.write_frame(dict(record))
+            wal.write_frame(dict(record))
         wal.close()
 
-        wal = WriteAheadLog(path)
+        wal = SegmentedLog(path, error_cls=RecoveryError, prefix="wal")
         assert wal.size_bytes() > 2_000_000
         tracemalloc.start()
         count = 0
@@ -210,47 +211,16 @@ class TestCorruption:
         ]
 
 
-class TestLegacyAdoption:
-    def test_v1_single_file_log_adopted_on_open(self, wal_path):
+class TestForeignFile:
+    def test_file_at_base_path_without_manifest_is_refused(self, wal_path):
         wal_path.write_text(
-            json.dumps(
-                {"type": "create_table", "schema": schema().describe()}
-            )
-            + "\n"
-            + json.dumps(
-                {
-                    "type": "txn",
-                    "ops": [
-                        {
-                            "op": "insert",
-                            "table": "T",
-                            "row": {"id": 1, "value": "old"},
-                        }
-                    ],
-                }
-            )
+            json.dumps({"type": "create_table", "schema": schema().describe()})
             + "\n"
         )
-        db = Database(wal_path)
-        assert [row["value"] for row in rows_of(db)] == ["old"]
-        db.insert("T", {"value": "new"})
-        db.close()
-        assert not wal_path.exists()  # adopted into segments
-        assert (wal_path.parent / (wal_path.name + ".manifest")).exists()
-        reopened = Database(wal_path)
-        assert [row["value"] for row in rows_of(reopened)] == ["old", "new"]
-
-    def test_v1_torn_final_line_tolerated_during_adoption(self, wal_path):
-        wal_path.write_text(
-            json.dumps(
-                {"type": "create_table", "schema": schema().describe()}
-            )
-            + "\n"
-            + '{"type": "txn", "ops": [{"op": "ins'
-        )
-        db = Database(wal_path)
-        assert db.tables() == ["T"]
-        assert rows_of(db) == []
+        with pytest.raises(RecoveryError) as excinfo:
+            Database(wal_path)
+        assert excinfo.value.detail()["reason"] == "manifest"
+        assert wal_path.exists()  # refused, never rewritten or deleted
 
 
 class TestCheckpointCrash:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import PrimaryKeyError, TransactionError
@@ -143,3 +146,112 @@ class TestAutocommit:
         with pytest.raises(ForeignKeyError):
             db.delete("Parent", None)
         assert db.count("Parent") == 2
+
+
+def _in_thread(target) -> tuple[threading.Thread, list[BaseException]]:
+    """Start ``target`` on a thread; its exception lands in the list."""
+    errors: list[BaseException] = []
+
+    def run() -> None:
+        try:
+            target()
+        except BaseException as exc:  # noqa: BLE001 - reported to the test
+            errors.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, errors
+
+
+class TestThreadOwnership:
+    """A transaction belongs to the thread that opened it; other threads'
+    writes wait for it instead of failing or joining it."""
+
+    def test_second_thread_begin_waits_for_the_owner(self, people_db):
+        people_db.begin()
+        people_db.insert("Person", {"name": "owner"})
+
+        def second() -> None:
+            with people_db.transaction():
+                people_db.insert("Person", {"name": "second"})
+
+        thread, errors = _in_thread(second)
+        thread.join(timeout=0.2)
+        assert thread.is_alive()  # parked until the owner finishes
+        people_db.commit()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert errors == []
+        names = sorted(row["name"] for row in people_db.select("Person"))
+        assert names == ["owner", "second"]
+
+    def test_other_thread_autocommit_survives_owner_rollback(self, people_db):
+        people_db.begin()
+        people_db.insert("Person", {"name": "doomed"})
+        thread, errors = _in_thread(
+            lambda: people_db.insert("Person", {"name": "acknowledged"})
+        )
+        thread.join(timeout=0.2)
+        assert thread.is_alive()  # did not join the open transaction
+        people_db.rollback()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert errors == []
+        names = [row["name"] for row in people_db.select("Person")]
+        assert names == ["acknowledged"]
+
+    def test_only_the_owner_may_commit(self, people_db):
+        people_db.begin()
+        people_db.insert("Person", {"name": "a"})
+        thread, errors = _in_thread(people_db.commit)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert len(errors) == 1 and isinstance(errors[0], TransactionError)
+        assert people_db.in_transaction
+        people_db.commit()
+        assert people_db.count("Person") == 1
+
+    def test_mixed_writers_keep_exactly_the_committed_rows(self, people_db):
+        """Stress: more threads than cores, explicit transactions that
+        commit or roll back interleaved with autocommit inserts; the
+        table ends with exactly the rows whose writers were told they
+        committed."""
+        threads, rounds = 6, 30
+        barrier = threading.Barrier(threads)
+
+        def worker(n: int) -> None:
+            barrier.wait(timeout=5.0)
+            for i in range(rounds):
+                if i % 3 == 2:
+                    people_db.insert("Person", {"name": f"auto-{n}-{i}"})
+                    continue
+                people_db.begin()
+                people_db.insert("Person", {"name": f"txn-{n}-{i}-a"})
+                people_db.insert("Person", {"name": f"txn-{n}-{i}-b"})
+                if i % 3 == 0:
+                    people_db.commit()
+                else:
+                    people_db.rollback()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool = [_in_thread(lambda n=n: worker(n)) for n in range(threads)]
+            for thread, __ in pool:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread, __ in pool)
+        assert [error for __, errors in pool for error in errors] == []
+        expected = sorted(
+            name
+            for n in range(threads)
+            for i in range(rounds)
+            for name in (
+                [f"auto-{n}-{i}"] if i % 3 == 2
+                else [f"txn-{n}-{i}-a", f"txn-{n}-{i}-b"] if i % 3 == 0
+                else []
+            )
+        )
+        assert sorted(row["name"] for row in people_db.select("Person")) == expected
+
