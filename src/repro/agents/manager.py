@@ -182,8 +182,8 @@ class AgentManager:
             return
         breaker.record_success()
         self.dispatch_count += 1
-        if self.obs is not None:
-            self.obs.audit_record(
+        if self.engine is not None:
+            self.engine.events.emit(
                 "agent.dispatch",
                 actor=agent["name"],
                 workflow_id=workflow["workflow_id"],
@@ -226,16 +226,6 @@ class AgentManager:
                 workflow_id=workflow["workflow_id"],
                 experiment_id=experiment["experiment_id"],
                 task=task_name,
-                reason=reason,
-            )
-        if self.obs is not None:
-            self.obs.audit_record(
-                name,
-                actor=agent["name"],
-                workflow_id=workflow["workflow_id"],
-                experiment_id=experiment["experiment_id"],
-                task=task_name,
-                queue=agent["queue"],
                 reason=reason,
             )
 
@@ -376,9 +366,10 @@ class AgentManager:
                     error=str(error),
                 )
                 will_retry = self._consumer.reject(message, reason=str(error))
-                if not will_retry and self.obs is not None:
-                    self.obs.audit_record(
+                if not will_retry:
+                    self.engine.events.emit(
                         "message.dead_letter",
+                        actor=None,
                         message_kind=message.headers.get("kind"),
                         message_id=message.message_id,
                         delivery_count=message.delivery_count,
@@ -426,15 +417,14 @@ class AgentManager:
                 counts["released"] += 1
                 continue
             self.leases.expiries += 1
-            if self.obs is not None:
-                self.obs.audit_record(
-                    "lease.expired",
-                    actor=lease.agent,
-                    workflow_id=lease.workflow_id,
-                    experiment_id=lease.experiment_id,
-                    task=lease.task,
-                    redispatches=lease.redispatches,
-                )
+            self.engine.events.emit(
+                "lease.expired",
+                actor=lease.agent,
+                workflow_id=lease.workflow_id,
+                experiment_id=lease.experiment_id,
+                task=lease.task,
+                redispatches=lease.redispatches,
+            )
             redispatched = (
                 lease.redispatches < self.leases.max_redispatches
                 and self._redispatch_expired(lease, experiment)
@@ -505,18 +495,6 @@ class AgentManager:
             kind=kind,
         ) as span:
             self._apply(message)
-            # Inside the span so the ack row carries the message's trace.
-            self.obs.audit_record(
-                "agent.ack",
-                actor=str(message.headers.get("agent", "")) or None,
-                experiment_id=self._maybe_int(
-                    message.headers.get("experiment_id")
-                ),
-                workflow_id=self._maybe_int(message.headers.get("workflow_id")),
-                task=message.headers.get("task"),
-                message_kind=kind,
-                message_id=message.message_id,
-            )
         self.obs.registry.histogram(
             "engine_apply_ms",
             help="Engine time applying one inbound agent message",
@@ -549,6 +527,16 @@ class AgentManager:
             )
         else:
             raise AgentFormatError(f"unknown inbound message kind {kind!r}")
+        # Under the caller's span, so the ack row carries the message's trace.
+        self.engine.events.emit(
+            "agent.ack",
+            actor=str(message.headers.get("agent", "")) or None,
+            experiment_id=self._maybe_int(message.headers.get("experiment_id")),
+            workflow_id=self._maybe_int(message.headers.get("workflow_id")),
+            task=message.headers.get("task"),
+            message_kind=kind,
+            message_id=message.message_id,
+        )
 
     # ------------------------------------------------------------------
     # Helpers

@@ -21,6 +21,9 @@ CL004     lock discipline: a class that creates a ``threading.Lock`` /
 CL005     no dead code: statements after ``return``/``raise``/
           ``break``/``continue`` in the same block, or bodies guarded
           by a literal ``False``
+CL006     audit rows have one writer: no ``.audit_record(...)`` or
+          ``<obj>.audit.record(...)`` call outside ``obs/audit.py`` —
+          emit an event; the audit store's subscriber writes the row
 ========  ===========================================================
 
 All findings are error severity: ``python -m repro.analysis codelint``
@@ -40,6 +43,9 @@ from repro.analysis.diagnostics import Report, Severity
 
 #: Files allowed to assign ``.state`` (the StateMachine itself).
 STATE_MUTATION_ALLOWLIST = ("core/states.py",)
+
+#: Files allowed to write audit rows directly (the AuditStore itself).
+AUDIT_WRITER_ALLOWLIST = ("obs/audit.py",)
 
 #: Constructor names that create a lock object (threading.X or bare X).
 _LOCK_FACTORIES = {"Lock", "RLock", "Condition"}
@@ -85,6 +91,19 @@ def _decorator_name(node: ast.expr) -> str:
     return ""
 
 
+def _is_audit_write(node: ast.AST) -> bool:
+    """``x.audit_record(...)`` or ``x.audit.record(...)``."""
+    func = node.func if isinstance(node, ast.Call) else None
+    if not isinstance(func, ast.Attribute):
+        return False
+    receiver = func.value
+    return func.attr == "audit_record" or (
+        func.attr == "record"
+        and isinstance(receiver, ast.Attribute)
+        and receiver.attr == "audit"
+    )
+
+
 def _is_mutable_default(node: ast.expr) -> bool:
     if isinstance(node, (ast.List, ast.Dict, ast.Set)):
         return True
@@ -126,7 +145,18 @@ class _FileLinter:
             self.display.endswith(suffix)
             for suffix in STATE_MUTATION_ALLOWLIST
         )
+        allow_audit = any(
+            self.display.endswith(suffix) for suffix in AUDIT_WRITER_ALLOWLIST
+        )
         for node in ast.walk(tree):
+            if not allow_audit and _is_audit_write(node):
+                self.add(
+                    "CL006",
+                    node.lineno,
+                    "direct audit write bypasses the event log",
+                    hint="emit an event on engine.events (or hub.events); "
+                    "AuditStore.on_event writes its row",
+                )
             if isinstance(node, ast.ExceptHandler) and node.type is None:
                 self.add(
                     "CL001",

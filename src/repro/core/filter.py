@@ -154,7 +154,7 @@ class WorkflowFilter(Filter):
         if request.param("workflow_action") is not None:
             ready, cause = self._ready()
             if not ready:
-                return self._degrade(hub, request, cause, chain=None)
+                return self._degrade(request, cause, chain=None)
             self.stats.processed += 1
             action_name = request.param("workflow_action")
             pattern = request.param("pattern")
@@ -164,20 +164,15 @@ class WorkflowFilter(Filter):
                 workflow_action=action_name,
                 pattern=pattern,
             ) as span:
-                self._audit(
-                    hub,
-                    mode="process",
-                    action=action_name,
-                    path=request.path,
+                self._decision(
+                    mode="process", action=action_name, path=request.path
                 )
                 try:
                     response = self.workflow_servlet.service(
                         request, self.container
                     )
                 except _DEGRADE_ERRORS as error:
-                    response = self._degrade(
-                        hub, request, str(error), chain=None
-                    )
+                    response = self._degrade(request, str(error), chain=None)
             return response
 
         action = request.param("action", "list")
@@ -191,7 +186,7 @@ class WorkflowFilter(Filter):
 
         ready, cause = self._ready()
         if not ready:
-            return self._degrade(hub, request, cause, chain=chain)
+            return self._degrade(request, cause, chain=chain)
 
         # Mode (a): preprocess — validate before the original servlet.
         self.stats.preprocessed += 1
@@ -202,23 +197,20 @@ class WorkflowFilter(Filter):
                     table, action, payload
                 )
             except _DEGRADE_ERRORS as error:
-                return self._degrade(hub, request, str(error), chain=chain)
+                return self._degrade(request, str(error), chain=chain)
         if not allowed:
             self.stats.denied += 1
             self.engine.events.emit(
-                "request.denied", table=table, action=action, reason=reason
-            )
-            self._audit(
-                hub,
-                mode="deny",
-                action=action,
+                "request.denied",
                 table=table,
+                action=action,
                 reason=reason,
+                mode="deny",
                 path=request.path,
             )
             return HttpResponse.denied(f"workflow manager denied request: {reason}")
-        self._audit(
-            hub, mode="preprocess", action=action, table=table, path=request.path
+        self._decision(
+            mode="preprocess", action=action, table=table, path=request.path
         )
 
         response = chain.proceed(request)
@@ -236,8 +228,7 @@ class WorkflowFilter(Filter):
                 # with an error now.  Note the gap and move on; the
                 # engine re-evaluates on the next data change.
                 self.stats.degraded += 1
-                self._audit(
-                    hub,
+                self._decision(
                     mode="degraded",
                     phase="postprocess",
                     table=table,
@@ -271,7 +262,7 @@ class WorkflowFilter(Filter):
             return False, f"readiness probe failed: {error}"
 
     def _degrade(
-        self, hub, request: HttpRequest, reason: str, chain: FilterChain | None
+        self, request: HttpRequest, reason: str, chain: FilterChain | None
     ) -> HttpResponse:
         """Answer a workflow-relevant request while the machinery is down.
 
@@ -280,10 +271,7 @@ class WorkflowFilter(Filter):
         """
         self.stats.degraded += 1
         self.engine.events.emit(
-            "request.degraded", path=request.path, reason=reason
-        )
-        self._audit(
-            hub, mode="degraded", path=request.path, reason=reason
+            "request.degraded", mode="degraded", path=request.path, reason=reason
         )
         if self.degradation.mode == "passthrough" and chain is not None:
             return chain.proceed(request)
@@ -301,15 +289,13 @@ class WorkflowFilter(Filter):
             return None
         return self.container.context.get("obs")
 
-    @staticmethod
-    def _audit(hub, mode: str, **fields) -> None:
-        """Record a Fig. 7 routing decision in the durable audit trail.
+    def _decision(self, mode: str, **fields) -> None:
+        """Record a Fig. 7 routing decision (it has no acting party).
 
-        Pass-throughs are deliberately not audited — they are the
-        workflow-irrelevant bulk of the traffic.
+        Denials and degradations have their own ``request.*`` events;
+        pass-throughs, the workflow-irrelevant bulk, are not recorded.
         """
-        if hub is not None:
-            hub.audit_record("filter.decision", mode=mode, **fields)
+        self.engine.events.emit("filter.decision", actor=None, mode=mode, **fields)
 
     def _is_workflow_relevant(self, action: str, table: str | None) -> bool:
         """Whether the request "might impact the state of a workflow".

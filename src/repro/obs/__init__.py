@@ -15,17 +15,16 @@ layers.  This package is the missing correlation layer:
 * :mod:`repro.obs.metrics` — a metrics registry (counters, gauges,
   histograms with p50/p95/p99 summaries) with a Prometheus-style text
   exposition;
-* :mod:`repro.obs.log` — structured JSON logging: trace-correlated,
-  level-filtered, ring-buffered and streamable;
 * :mod:`repro.obs.audit` — the durable provenance trail: a ``WFAudit``
   table written through the same transaction/WAL path as engine state,
-  recording every task/instance transition, authorization decision,
-  restart, dispatch/ack and filter-mode decision, queryable as a
-  timeline via ``GET /workflow/audit``;
+  one row per event of the engine's event log (every task/instance
+  transition, authorization decision, restart, dispatch/ack and
+  filter-mode decision), queryable as a timeline via
+  ``GET /workflow/audit``;
 * :mod:`repro.obs.hub` — the :class:`ObservabilityHub` that wires the
   existing instrumentation sources (EventLog, DatabaseStats,
   BrokerStats, ContainerStats, FilterStats) into one registry plus the
-  log and audit stores, aggregates per-component health for
+  audit store, aggregates per-component health for
   ``GET /workflow/health``, and ``install_observability`` which
   attaches the hub to a running system (idempotently).
 """
@@ -38,12 +37,6 @@ from repro.obs.audit import (
     verify_timeline,
 )
 from repro.obs.hub import ObservabilityHub, hub_readiness, install_observability
-from repro.obs.log import (
-    LEVELS,
-    BoundLogger,
-    LogRecord,
-    StructuredLog,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -55,16 +48,12 @@ from repro.obs.trace import Span, TraceExporter, Tracer
 __all__ = [
     "AUDIT_TABLE",
     "AuditStore",
-    "BoundLogger",
     "Counter",
     "Gauge",
     "Histogram",
-    "LEVELS",
-    "LogRecord",
     "MetricsRegistry",
     "ObservabilityHub",
     "Span",
-    "StructuredLog",
     "TraceExporter",
     "Tracer",
     "decode_record",

@@ -12,19 +12,17 @@ and metrics are ephemeral; this module is the durable half:
   commits or rolls back with it);
 * every row carries the acting party, a wall-clock timestamp, the
   workflow/task/instance/authorization ids that apply, the engine
-  event-log sequence (when bridged from an event) and the PR-1 trace id
-  of the request that caused it — so log lines, span trees and audit
-  rows cross-link on one trace id;
+  event-log sequence of the event it records and the PR-1 trace id of
+  the request that caused it — so span trees and audit rows cross-link
+  on one trace id;
 * :meth:`AuditStore.query` reconstructs provenance timelines, filterable
   by workflow, experiment, actor, kind and time range, with pagination —
   the backing of ``GET /workflow/audit``.
 
-The store is fed two ways: :meth:`AuditStore.on_event` subscribes to the
-engine's :class:`~repro.core.events.EventLog` (task and task-instance
-state transitions, authorization decisions, restarts, cancellations),
-and the agent manager / workflow filter call :meth:`AuditStore.record`
-directly for dispatch/ack and filter-mode decisions that have no engine
-event of their own.
+The store is fed one way: :meth:`AuditStore.on_event` subscribes to the
+engine's :class:`~repro.core.events.EventLog`, and every event becomes
+exactly one row, written by :meth:`AuditStore.record` (codelint CL006
+keeps it the only writer).
 """
 
 from __future__ import annotations
@@ -98,12 +96,10 @@ class AuditStore:
     """Writes and queries the durable audit trail."""
 
     def __init__(
-        self, db: "Database", tracer=None, log=None, clock: Clock | None = None
+        self, db: "Database", tracer=None, clock: Clock | None = None
     ) -> None:
         self.db = db
         self.tracer = tracer
-        #: :class:`~repro.obs.log.BoundLogger` the writer narrates to.
-        self.log = log
         #: Injectable time source stamping the ``created`` column.
         self.clock: Clock = clock or SystemClock()
         #: Records that failed to persist (diagnostics only).
@@ -164,27 +160,26 @@ class AuditStore:
         except Exception:  # noqa: BLE001 - auditing is best-effort
             self.write_errors += 1
             return None
-        if self.log is not None:
-            self.log.debug(
-                f"audit {kind}",
-                audit_id=stored["audit_id"],
-                actor=actor,
-                workflow_id=workflow_id,
-                experiment_id=experiment_id,
-            )
         return stored
 
     def on_event(self, engine_event) -> None:
-        """EventLog subscriber: mirror an engine event into the trail.
+        """EventLog subscriber: write the event's one audit row.
 
-        Runs synchronously inside ``EventLog.emit`` — under the engine
-        lock and, when the emitting code holds one open, inside the same
-        database transaction as the state change it describes.
+        Runs synchronously inside ``EventLog.emit`` on the emitting
+        thread — for engine transitions under the engine lock and, when
+        the emitting code holds one open, inside the same database
+        transaction as the state change it describes.  An explicit
+        ``actor`` payload key (even ``None``) names the acting party;
+        otherwise it is inferred from the payload.
         """
         payload = dict(engine_event.payload)
         structured: dict[str, Any] = {
             "sequence": engine_event.sequence,
-            "actor": _actor_from_payload(payload),
+            "actor": (
+                payload.pop("actor")
+                if "actor" in payload
+                else _actor_from_payload(payload)
+            ),
         }
         for column in _ID_COLUMNS:
             value = payload.pop(column, None)

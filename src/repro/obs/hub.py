@@ -1,15 +1,15 @@
 """The ObservabilityHub: one object that sees every tier.
 
 The hub owns a :class:`~repro.obs.trace.Tracer`, a
-:class:`~repro.obs.metrics.MetricsRegistry`, a
-:class:`~repro.obs.log.StructuredLog` and (when an engine is wired) an
-:class:`~repro.obs.audit.AuditStore`, and knows how to feed them from
-the instrumentation the system already has:
+:class:`~repro.obs.metrics.MetricsRegistry` and (when an engine is
+wired) an :class:`~repro.obs.audit.AuditStore`, and knows how to feed
+them from the instrumentation the system already has:
 
-* the engine's :class:`~repro.core.events.EventLog` — subscribed, every
-  event becomes an ``engine_events_total{kind=...}`` increment *and* a
-  zero-duration span under the active request span, so state
-  transitions show up inside the trace tree;
+* the engine's :class:`~repro.core.events.EventLog` — the one event
+  path.  Subscribed, every event becomes one ``WFAudit`` row, an
+  ``engine_events_total{kind=...}`` increment *and* a zero-duration
+  span under the active request span.  Components holding only the hub
+  emit on ``hub.events``, the same log;
 * ``DatabaseStats`` / ``BrokerStats`` / ``ContainerStats`` /
   ``FilterStats`` — mirrored into the registry by pull-time collectors;
 * the broker — an observer hook times every send→delivery interval and
@@ -33,13 +33,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.obs.log import StructuredLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceExporter, Tracer
 from repro.resilience.clock import Clock, SystemClock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import WorkflowBean
+    from repro.core.events import EventLog
     from repro.messaging.broker import MessageBroker
     from repro.obs.audit import AuditStore
     from repro.obs.prof.profiler import Profiler
@@ -121,25 +121,27 @@ class _BrokerObserver:
 
 
 class ObservabilityHub:
-    """Tracer + registry + log + audit + exporter, with wiring helpers."""
+    """Tracer + registry + audit + exporter, with wiring helpers."""
 
     def __init__(
         self,
         tracer: Tracer | None = None,
         registry: MetricsRegistry | None = None,
-        log: StructuredLog | None = None,
         clock: Clock | None = None,
     ) -> None:
-        #: Injectable time source shared with the tracer and log this
-        #: hub creates (explicitly-passed ones keep their own clocks).
+        #: Injectable time source shared with the tracer this hub
+        #: creates (an explicitly-passed one keeps its own clock).
         self.clock: Clock = clock or SystemClock()
         self.tracer = tracer or Tracer(clock=self.clock)
         self.registry = registry or MetricsRegistry()
-        self.log = log or StructuredLog(tracer=self.tracer, clock=self.clock)
         self.exporter = TraceExporter(self.tracer)
         self.broker_observer = _BrokerObserver(self)
         #: Durable provenance store (set by :meth:`install_audit`).
         self.audit: "AuditStore | None" = None
+        #: The wired engine's event log (set by :meth:`install_audit` /
+        #: :meth:`watch_engine`); components holding only the hub emit
+        #: here.  ``None`` until an engine is wired: nothing is recorded.
+        self.events: "EventLog | None" = None
         #: Attribution/contention profiler, attached by
         #: :func:`repro.obs.prof.install_profiling`; ``None`` (the
         #: default) keeps every profiling hook dormant.
@@ -156,7 +158,6 @@ class ObservabilityHub:
         self._health: dict[str, Callable[[], dict[str, Any]]] = {}
         #: (agent, broker) pairs feeding the per-agent health component.
         self._agents: list[tuple[Any, Any]] = []
-        self.log.subscribe(self._count_log_record)
         self.registry.add_collector(self._collect_self)
 
     def span(self, name: str, **attributes: Any):
@@ -198,29 +199,15 @@ class ObservabilityHub:
             pass
 
     # ------------------------------------------------------------------
-    # Structured log + audit plumbing
+    # Audit plumbing
     # ------------------------------------------------------------------
 
-    def _count_log_record(self, record) -> None:
-        try:
-            self.registry.counter(
-                "log_records_total",
-                help="Structured log records by level",
-                level=record.level,
-            ).inc()
-        except Exception:  # noqa: BLE001
-            pass
-
     def _collect_self(self) -> None:
-        """Mirror the hub's own ring-buffer drop counters."""
+        """Mirror the tracer's ring-buffer drop counter."""
         self.registry.counter(
             "trace_spans_dropped_total",
             help="Finished spans evicted from the tracer ring",
         ).set(self.tracer.dropped)
-        self.registry.counter(
-            "log_records_dropped_total",
-            help="Log records evicted from the ring buffer",
-        ).set(self.log.dropped)
 
     def install_audit(self, engine: "WorkflowBean") -> "AuditStore":
         """Create (or reuse) the durable audit store over ``engine.db``
@@ -230,23 +217,12 @@ class ObservabilityHub:
         if self.audit is None or self.audit.db is not engine.db:
             install_audit_schema(engine.db)
             self.audit = AuditStore(
-                engine.db,
-                tracer=self.tracer,
-                log=self.log.logger("audit"),
-                clock=self.clock,
+                engine.db, tracer=self.tracer, clock=self.clock
             )
+        self.events = engine.events
         if self._once("audit-events", engine):
             engine.events.subscribe(self.audit.on_event)
         return self.audit
-
-    def audit_record(self, kind: str, **fields: Any) -> None:
-        """Write one audit row if a store is attached; never raises."""
-        if self.audit is None:
-            return
-        try:
-            self.audit.record(kind, **fields)
-        except Exception:  # noqa: BLE001 - auditing is best-effort
-            pass
 
     # ------------------------------------------------------------------
     # Health
@@ -449,8 +425,11 @@ class ObservabilityHub:
                 # Fires for every checkpoint — operator POST, CLI, and
                 # the engine's automatic policy alike — so the audit
                 # trail is the one complete record of compactions.
-                self.audit_record(
+                if self.events is None:
+                    return
+                self.events.emit(
                     "db.checkpoint",
+                    actor=None,
                     event=info.get("reason"),
                     records=info.get("records"),
                     watermark=info.get("watermark"),
@@ -528,17 +507,13 @@ class ObservabilityHub:
                     "workflow_filter_requests_total",
                     help="WorkflowFilter requests per handling mode",
                     mode=mode,
-                )
-                self.registry.counter(
-                    "workflow_filter_requests_total",
-                    help="WorkflowFilter requests per handling mode",
-                    mode=mode,
                 ).set(count)
 
         self.registry.add_collector(collect)
 
     def watch_engine(self, engine: "WorkflowBean") -> None:
         """Subscribe to the event stream and mirror the check counter."""
+        self.events = engine.events
         if not self._once("engine", engine):
             return
         engine.events.subscribe(self.on_event)
@@ -870,7 +845,6 @@ def install_observability(
     agents: Iterable[Any] = (),
     email=None,
     hub: ObservabilityHub | None = None,
-    audit: bool = True,
 ) -> ObservabilityHub:
     """Attach observability to a running system (any subset of tiers).
 
@@ -878,9 +852,8 @@ def install_observability(
       latency histogram, plus the ``/workflow/metrics``,
       ``/workflow/audit`` and ``/workflow/health`` servlets;
     * ``engine`` — event-stream subscription, check-count mirror and
-      (unless ``audit=False``) the durable ``WFAudit`` provenance store
-      on the engine's database; discovered from the container context
-      when omitted;
+      the durable ``WFAudit`` provenance store on the engine's
+      database; discovered from the container context when omitted;
     * ``broker`` — delivery timing, trace stitching, queue-depth and
       journal-backlog gauges;
     * ``manager`` / ``agents`` — trace propagation through dispatches,
@@ -904,7 +877,7 @@ def install_observability(
         engine = expdb.container.context.get("workflow_bean")
     if broker is None and manager is not None:
         broker = manager.broker
-    if engine is not None and audit:
+    if engine is not None:
         hub.install_audit(engine)
     if expdb is not None:
         from repro.weblims.auditservlet import AuditServlet

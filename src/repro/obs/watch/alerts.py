@@ -16,7 +16,8 @@ rule on demand and walks each through the state machine::
 flapping.  ``resolved`` is sticky for display (operators see that an
 alert fired and recovered) but behaves like ``inactive`` for re-entry.
 
-Every transition is audited (``alert.transition`` rows in ``WFAudit``),
+Every transition is emitted as an ``alert.transition`` event on
+``hub.events`` (one ``WFAudit`` row once the audit store subscribes),
 exported through the :class:`~repro.obs.watch.export.TelemetryExporter`
 and counted (``watch_alert_transitions_total{rule,to}``), so the alert
 history survives the process and a notification relay can tail the
@@ -257,16 +258,17 @@ class AlertEngine:
             ).inc()
         except Exception:  # noqa: BLE001 - metrics are best-effort
             pass
-        self.hub.audit_record(
-            "alert.transition",
-            actor="watch",
-            event=event,
-            state=to_status,
-            rule=rule.name,
-            value=value,
-            threshold=rule.threshold,
-            severity=rule.severity,
-        )
+        if self.hub.events is not None:
+            self.hub.events.emit(
+                "alert.transition",
+                actor="watch",
+                event=event,
+                state=to_status,
+                rule=rule.name,
+                value=value,
+                threshold=rule.threshold,
+                severity=rule.severity,
+            )
         if self.exporter is not None:
             self.exporter.offer("alert.transition", **record)
         return dict(record)

@@ -59,8 +59,8 @@ class CheckpointServlet(Servlet):
             records = self.db.checkpoint(reason="operator")
         except TransactionError as error:
             return HttpResponse.error(409, str(error))
-        if self.hub is not None:
-            self.hub.audit_record(
+        if self.hub is not None and self.hub.events is not None:
+            self.hub.events.emit(
                 "db.checkpoint.request",
                 actor=request.param("by", "") or None,
                 event="operator",

@@ -75,9 +75,10 @@ class DeadLetterServlet(Servlet):
             message = self.broker.requeue_dead(message_id)
         except DeadLetterError as error:
             return HttpResponse.error(404, str(error))
-        if self.hub is not None:
-            self.hub.audit_record(
+        if self.hub is not None and self.hub.events is not None:
+            self.hub.events.emit(
                 "dlq.requeue",
+                actor=None,
                 message_id=message_id,
                 queue=message.queue,
                 message_kind=message.headers.get("kind"),

@@ -103,6 +103,34 @@ class TestStateMutation:
         assert report.ok
 
 
+class TestAuditWriter:
+    def test_direct_audit_writes_flagged(self, lint):
+        report = lint(
+            """
+            def note(hub, store_owner):
+                hub.audit_record("task.state", workflow_id=1)
+                store_owner.audit.record("task.state", workflow_id=1)
+            """
+        )
+        assert codes(report) == ["CL006", "CL006"]
+
+    def test_audit_module_and_other_records_exempt(self, lint):
+        assert lint(
+            """
+            class AuditStore:
+                def on_event(self, event):
+                    self.record(event.kind)
+            """,
+            filename="obs/audit.py",
+        ).ok
+        assert lint(
+            """
+            def sample(recorder):
+                recorder.record("span")
+            """
+        ).ok
+
+
 class TestLockDiscipline:
     LOCKED_CLASS = """
         import threading

@@ -160,3 +160,43 @@ class TestSubscriberEdgeCases:
         # skipped (documented contract: observers must catch their own).
         assert [e.kind for e in log.events] == ["x"]
         assert seen == []
+
+
+class TestConcurrentEmit:
+    def test_sequences_are_unique_and_ordered_across_threads(self):
+        import sys
+        import threading
+
+        log = EventLog()
+        per_thread, threads = 20_000, 4
+        previous = sys.getswitchinterval()
+        # A tiny switch interval forces preemption between reading and
+        # bumping the counter, which an unlocked emit loses to.
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: [log.emit("tick") for __ in range(per_thread)]
+                )
+                for __ in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        sequences = [event.sequence for event in log.events]
+        assert log.last_sequence == per_thread * threads
+        assert len(set(sequences)) == per_thread * threads
+        assert sequences == sorted(sequences)
+
+    def test_since_on_a_ring_buffer_starts_at_the_marker(self):
+        log = EventLog(capacity=4)
+        for n in range(1, 11):
+            log.emit("a", n=n)
+        # Retained: 7..10.  A marker older than the buffer returns it all.
+        assert [e["n"] for e in log.since(2)] == [7, 8, 9, 10]
+        assert [e["n"] for e in log.since(8)] == [9, 10]
+        assert log.since(10) == []

@@ -243,4 +243,3 @@ class TestMetricsExposure:
         assert "agent_last_poll_age_seconds" in text
         assert "agent_mailbox_depth" in text
         assert "engine_events_dropped_total 0" in text
-        assert "log_records_dropped_total 0" in text

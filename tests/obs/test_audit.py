@@ -13,7 +13,6 @@ from repro.obs.audit import (
     install_audit_schema,
     verify_timeline,
 )
-from repro.obs.log import StructuredLog
 from repro.obs.trace import Tracer
 
 
@@ -85,14 +84,6 @@ class TestRecord:
         store = AuditStore(broken)
         assert store.record("task.state") is None
         assert store.write_errors == 1
-
-    def test_record_narrates_to_the_log(self, db):
-        log = StructuredLog()
-        store = AuditStore(db, log=log.logger("audit"))
-        store.record("task.state", workflow_id=5)
-        records = log.records(logger="audit")
-        assert len(records) == 1
-        assert records[0].fields["workflow_id"] == 5
 
 
 class TestOnEvent:

@@ -292,23 +292,13 @@ class TestHealth:
         assert ready is True
 
 
-class TestLogMetrics:
-    def test_log_records_counted_by_level(self):
-        hub = ObservabilityHub()
-        hub.log.logger("engine").info("one")
-        hub.log.logger("engine").error("two")
-        snapshot = hub.registry.snapshot()
-        by_level = {
-            series["labels"]["level"]: series["value"]
-            for series in snapshot["log_records_total"]["series"]
-        }
-        assert by_level == {"info": 1, "error": 1}
-
+class TestSelfMetrics:
     def test_dropped_counters_exposed_as_metrics(self):
         hub = ObservabilityHub()
-        hub.log.capacity = 1
-        hub.log.logger("x").info("a")
-        hub.log.logger("x").info("b")
+        hub.tracer.capacity = 1
+        with hub.span("a"):
+            pass
+        with hub.span("b"):
+            pass
         text = hub.registry.render()
-        assert "log_records_dropped_total 1" in text
-        assert "trace_spans_dropped_total 0" in text
+        assert "trace_spans_dropped_total 1" in text

@@ -42,11 +42,11 @@ class TestCheckpointServlet:
         assert info["records_since_checkpoint"] == 0
 
     def test_post_is_recorded_in_the_audit_trail(self, app_and_hub):
-        from repro.obs.audit import AuditStore, install_audit_schema
+        from repro.core.engine import WorkflowBean
 
         app, hub = app_and_hub
-        install_audit_schema(app.db)
-        hub.audit = AuditStore(app.db, tracer=hub.tracer, clock=hub.clock)
+        # The servlet records through the wired engine's event log.
+        hub.install_audit(WorkflowBean(app.db))
         app.post("/workflow/checkpoint", by="ops")
         kinds = [
             record["kind"]
