@@ -49,9 +49,10 @@ Design decisions, mapped to the paper:
 # across durable database writes: one re-entrant lock serialises all
 # engine methods (the paper's servlet-bean concurrency model), so the
 # commit fsync runs under it.  This is the known cost of the current
-# thread-per-request model; the async event-driven hot path (ROADMAP
-# item 3) replaces the bean lock entirely, and this module-allow is the
-# inventory of exactly the sites that rewrite must make awaitable.
+# thread-per-request model; per-instance serialisation (ROADMAP item 2)
+# replaces the bean lock entirely, and this module-allow is the
+# inventory of exactly the sites that rewrite must move out from under
+# a lock.
 
 from __future__ import annotations
 
@@ -108,11 +109,10 @@ class WorkflowBean:
         self,
         db: Database,
         dispatcher: Dispatcher | None = None,
-        events: EventLog | None = None,
     ) -> None:
         self.db = db
         self.dispatcher: Dispatcher = dispatcher or NullDispatcher()
-        self.events = events or EventLog()
+        self.events = EventLog()
         #: Write-through-invalidated cache of specification data:
         #: pattern rows, compiled patterns, WFPTask rows, and the
         #: experiment/sample type-table mappings.  Subscribed to the

@@ -467,9 +467,8 @@ class WorkflowServlet(Servlet):
     def _do_authorizations(
         self, request: HttpRequest, templates
     ) -> HttpResponse:
-        workflow_id = request.param("workflow_id")
         pending = self.engine.pending_authorizations(
-            int(workflow_id) if workflow_id else None
+            self._int_param(request, "workflow_id", required=False)
         )
         body = templates.render("wf_auths", {"authorizations": pending})
         response = HttpResponse.html(body)

@@ -189,17 +189,17 @@ class PatternStore:
     type-mapping caches.  Spurious invalidation (e.g. a write that a
     rollback undoes) merely costs a re-read.
 
-    ``enabled=False`` (or flipping :attr:`enabled` later) bypasses the
-    cache entirely — every call goes to the database — which gives tests
-    and benchmarks an audited cache-off path with identical semantics.
+    Setting :attr:`enabled` to ``False`` bypasses the cache entirely —
+    every call goes to the database — which gives tests and benchmarks
+    an audited cache-off path with identical semantics.
     Negative lookups are never cached, so a miss cannot mask data that
     appears later.  Returned rows are copies; mutating them does not
     corrupt the cache.
     """
 
-    def __init__(self, db: Database, enabled: bool = True) -> None:
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.enabled = enabled
+        self.enabled = True
         self.hits = 0
         self.misses = 0
         self._pattern_rows: dict[str, dict[str, Any]] = {}

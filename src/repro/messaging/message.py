@@ -32,6 +32,10 @@ class Message:
     #: Runtime-only: replay recomputes it as "now" — after a crash the
     #: backoff clock restarts rather than carrying a stale deadline.
     not_before: float = 0.0
+    #: Monotonic instant of the send, stamped by the broker observer
+    #: and cleared by the first delivery, which it times.  Runtime-only
+    #: like ``not_before``: a replayed or redelivered message has none.
+    sent_at: float | None = None
 
     @property
     def redelivered(self) -> bool:

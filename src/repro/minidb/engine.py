@@ -53,7 +53,7 @@ from repro.minidb.transactions import (
     UndoUpdate,
 )
 from repro.minidb.types import coerce, from_wire, to_wire
-from repro.seglog import DEFAULT_SEGMENT_BYTES, SegmentedLog
+from repro.seglog import SegmentedLog
 
 _MISSING = object()
 
@@ -199,7 +199,6 @@ class Database:
         sync_policy: str = "group",
         group_window_s: float = 0.0,
         clock: Any = None,
-        segment_max_bytes: int = DEFAULT_SEGMENT_BYTES,
         segment_max_records: int | None = None,
         salvage: bool = False,
         checkpoint_policy: CheckpointPolicy | None = None,
@@ -259,7 +258,6 @@ class Database:
                 sync_policy=sync_policy,
                 group_window_s=group_window_s,
                 clock=clock,
-                segment_max_bytes=segment_max_bytes,
                 segment_max_records=segment_max_records,
                 salvage=salvage,
             )

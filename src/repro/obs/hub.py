@@ -56,17 +56,12 @@ class _BrokerObserver:
 
     def __init__(self, hub: "ObservabilityHub") -> None:
         self.hub = hub
-        self._send_times: dict[int, float] = {}
 
     def on_send(self, message, persistent: bool) -> None:
-        self._send_times[message.message_id] = self.hub.clock.monotonic()
-        # Cap the pending map: a queue nobody drains must not leak.
-        if len(self._send_times) > 10_000:
-            oldest = min(self._send_times)
-            del self._send_times[oldest]
+        message.sent_at = self.hub.clock.monotonic()
 
     def on_deliver(self, message) -> None:
-        sent_at = self._send_times.pop(message.message_id, None)
+        sent_at, message.sent_at = message.sent_at, None
         if sent_at is None:
             # Journal-recovered and redelivered messages have no send
             # timestamp; count them so attribution reports can state how
@@ -89,7 +84,7 @@ class _BrokerObserver:
             queue=message.queue,
         ).observe(
             wait_ms,
-            trace_id=trace_id if self.hub.exemplars_enabled else None,
+            trace_id=trace_id if self.hub.profiler is not None else None,
         )
         if trace_id is not None:
             self.hub.tracer.record(
@@ -123,17 +118,11 @@ class _BrokerObserver:
 class ObservabilityHub:
     """Tracer + registry + audit + exporter, with wiring helpers."""
 
-    def __init__(
-        self,
-        tracer: Tracer | None = None,
-        registry: MetricsRegistry | None = None,
-        clock: Clock | None = None,
-    ) -> None:
-        #: Injectable time source shared with the tracer this hub
-        #: creates (an explicitly-passed one keeps its own clock).
+    def __init__(self, clock: Clock | None = None) -> None:
+        #: Injectable time source shared with the hub's tracer.
         self.clock: Clock = clock or SystemClock()
-        self.tracer = tracer or Tracer(clock=self.clock)
-        self.registry = registry or MetricsRegistry()
+        self.tracer = Tracer(clock=self.clock)
+        self.registry = MetricsRegistry()
         self.exporter = TraceExporter(self.tracer)
         self.broker_observer = _BrokerObserver(self)
         #: Durable provenance store (set by :meth:`install_audit`).
@@ -150,8 +139,6 @@ class ObservabilityHub:
         #: :func:`repro.obs.watch.install_watch`; ``None`` (the
         #: default) keeps the watch layer dormant.
         self.watcher: "Watcher | None" = None
-        #: Whether histograms fed by the hub record trace-id exemplars.
-        self.exemplars_enabled: bool = False
         #: Guards against double-wiring the same object into this hub.
         self._watched: set[tuple[str, int]] = set()
         #: Health providers by component name, registered by ``watch_*``.
@@ -398,17 +385,13 @@ class ObservabilityHub:
             def on_commit(elapsed_ms: float) -> None:
                 current = self.tracer.current_span()
                 trace_id = current.trace_id if current is not None else None
+                profiled = self.profiler is not None
                 commit_histogram.observe(
-                    elapsed_ms,
-                    trace_id=trace_id if self.exemplars_enabled else None,
+                    elapsed_ms, trace_id=trace_id if profiled else None
                 )
                 # Commit spans only exist under a profiler: on the bare
                 # hub a hot loop of tiny commits must not flood the ring.
-                if (
-                    self.profiler is not None
-                    and self.profiler.commit_spans
-                    and current is not None
-                ):
+                if profiled and current is not None:
                     self.tracer.record(
                         "db.commit",
                         trace_id=current.trace_id,
@@ -809,10 +792,7 @@ class ObservabilityHub:
 READINESS_COMPONENTS = ("database", "engine", "broker", "manager")
 
 
-def hub_readiness(
-    hub: ObservabilityHub,
-    components: tuple[str, ...] = READINESS_COMPONENTS,
-) -> tuple[bool, str]:
+def hub_readiness(hub: ObservabilityHub) -> tuple[bool, str]:
     """Readiness verdict for the filter's graceful-degradation probe.
 
     Ready iff every *present* core component reports ``ok`` — a tier
@@ -825,7 +805,7 @@ def hub_readiness(
     """
     report = hub.health_report()
     bad = []
-    for name in components:
+    for name in READINESS_COMPONENTS:
         info = report["components"].get(name)
         if info is None:
             continue

@@ -55,7 +55,6 @@ class Profiler:
         sampler: StackSampler | None = None,
         retainer: SlowTraceRetainer | None = None,
         slo_tracker: SLOTracker | None = None,
-        commit_spans: bool = True,
         witness: "LockOrderWitness | None" = None,
     ) -> None:
         self.hub = hub
@@ -66,8 +65,6 @@ class Profiler:
         self.sampler = sampler
         self.retainer = retainer or SlowTraceRetainer(hub.exporter)
         self.slo_tracker = slo_tracker or SLOTracker()
-        #: Whether the commit hook records ``db.commit`` spans.
-        self.commit_spans = commit_spans
         self.analyzer = CriticalPathAnalyzer(hub.exporter)
 
     # -- request feed -------------------------------------------------------
@@ -230,15 +227,12 @@ def install_profiling(
     broker=None,
     slos: Iterable[SLOPolicy] = (),
     sampler: bool = False,
-    sample_interval_s: float = 0.01,
-    commit_spans: bool = True,
-    profile_locks: bool = True,
     witness: "LockOrderWitness | bool | None" = None,
 ) -> Profiler:
     """Turn profiling on for a wired system (idempotent per hub).
 
     * ``db`` / ``broker`` — their locks are swapped for profiled
-      wrappers (skipped with ``profile_locks=False``);
+      wrappers;
     * ``slos`` — :class:`SLOPolicy` objects to track; registers an
       ``slo`` health component (never part of readiness gating);
     * ``sampler=True`` — start the collapsed-stack wall-clock sampler;
@@ -246,7 +240,7 @@ def install_profiling(
       (or ``True`` for a fresh one against the installed tree's static
       graph): every profiled lock reports its acquisition order to it,
       and the witness verdict joins :meth:`Profiler.report` under
-      ``lock_order``.  Requires ``profile_locks``.
+      ``lock_order``.
 
     Returns the (new or already-installed) :class:`Profiler`.
     """
@@ -261,7 +255,7 @@ def install_profiling(
             else LockOrderWitness()
         )
     lock_profiler: LockProfiler | None = None
-    if profile_locks and (db is not None or broker is not None):
+    if db is not None or broker is not None:
         lock_profiler = LockProfiler(clock=hub.clock, witness=lock_witness)
         if broker is not None:
             broker.install_lock_profiler(
@@ -271,9 +265,7 @@ def install_profiling(
             db.wrap_mutex(lock_profiler.wrap)
     stack_sampler: StackSampler | None = None
     if sampler:
-        stack_sampler = StackSampler(
-            interval_s=sample_interval_s, clock=hub.clock
-        )
+        stack_sampler = StackSampler(clock=hub.clock)
         stack_sampler.start()
     tracker = SLOTracker(policies=slos)
     profiler = Profiler(
@@ -282,11 +274,9 @@ def install_profiling(
         sampler=stack_sampler,
         retainer=SlowTraceRetainer(hub.exporter),
         slo_tracker=tracker,
-        commit_spans=commit_spans,
         witness=lock_witness,
     )
     hub.profiler = profiler
-    hub.exemplars_enabled = True
     if tracker.policies():
         hub.register_health("slo", tracker.health)
     return profiler

@@ -28,7 +28,7 @@ and nothing here costs anything.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from repro.obs.watch.alerts import AlertEngine, AlertRule
 from repro.obs.watch.export import (
@@ -169,11 +169,8 @@ def install_watch(
     engine=None,
     broker=None,
     manager=None,
-    rules: Iterable[AlertRule] = (),
     stuck_policy: StuckPolicy | None = None,
     telemetry_path: str | None = None,
-    with_default_rules: bool = True,
-    exporter_capacity: int = 1024,
     clock=None,
 ) -> Watcher:
     """Turn the watch layer on for a wired system (idempotent per hub).
@@ -181,10 +178,9 @@ def install_watch(
     * ``engine`` — the residency tracker subscribes to its event
       stream (discovered from the container context when omitted);
     * ``broker`` / ``manager`` — DLQ-depth, queue-depth and
-      expired-lease alert sources, plus lease/DLQ sections in flight
-      recordings;
-    * ``rules`` — extra :class:`AlertRule`\\ s on top of the stock set
-      (suppressed with ``with_default_rules=False``);
+      expired-lease alert sources and their stock rules, plus
+      lease/DLQ sections in flight recordings (more rules go in through
+      ``watcher.alerts.add_rule``);
     * ``telemetry_path`` — attach a :class:`JsonLinesSink` so alert
       transitions and snapshots survive the process;
     * ``expdb`` — registers ``GET /workflow/instances[/<id>[/timeline]]``
@@ -210,7 +206,7 @@ def install_watch(
     if db is None:
         raise ValueError("install_watch needs an engine or expdb for its db")
     clock = clock or hub.clock
-    exporter = TelemetryExporter(clock=clock, capacity=exporter_capacity)
+    exporter = TelemetryExporter(clock=clock)
     if telemetry_path is not None:
         exporter.add_sink(JsonLinesSink(telemetry_path))
     residency = StateResidencyTracker(clock=clock, registry=hub.registry)
@@ -267,10 +263,7 @@ def install_watch(
         )
 
     alerts.add_source("slo_burning", slo_burning)
-    if with_default_rules:
-        for rule in default_rules(broker=broker, manager=manager):
-            alerts.add_rule(rule)
-    for rule in rules:
+    for rule in default_rules(broker=broker, manager=manager):
         alerts.add_rule(rule)
 
     def collect() -> None:

@@ -8,8 +8,9 @@ dead-letter quarantine and the live lease table.  Debugging "what
 happened to workflow 17" means joining all four by hand.
 
 :meth:`FlightRecorder.timeline` does the join: every audit row of the
-workflow, every archived span of every trace those rows reference, and
-every DLQ entry whose headers name the workflow, merged into one list
+workflow, every archived span of every trace those rows reference
+(except the event annotations that restate a listed row), and every
+DLQ entry whose headers name the workflow, merged into one list
 ordered by timestamp (ties broken audit-first, then by commit order,
 so an audit row and the span that caused it stay adjacent and replays
 are deterministic).  The current lease rows and any stuck-entity flags
@@ -93,8 +94,17 @@ class FlightRecorder:
                 if isinstance(row.get("trace_id"), str)
             }
         )
+        # An event's trace annotation restates the audit row written for
+        # it; list each occurrence once, as its durable row.
+        listed = {
+            row["sequence"]
+            for row in audit_rows
+            if row.get("sequence") is not None
+        }
         for trace_id in trace_ids:
             for span in self.hub.tracer.spans_for(trace_id):
+                if span.attributes.get("sequence") in listed:
+                    continue
                 events.append(
                     {
                         "ts": span.start_time,

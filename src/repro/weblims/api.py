@@ -149,17 +149,17 @@ class ApiServlet(Servlet):
         return {"ok": True, "affected": affected}
 
 
-def install_api(expdb: "ExpDB", with_workflow_filter: bool = True) -> ApiServlet:
+def install_api(expdb: "ExpDB") -> ApiServlet:
     """Register the JSON API at ``/api`` (and under the filter).
 
-    When Exp-WF is installed and ``with_workflow_filter`` is true, the
-    WorkflowFilter is additionally mapped onto ``/api/*`` — the
+    When Exp-WF is installed, the WorkflowFilter is additionally mapped
+    onto ``/api/*`` — the
     one-line descriptor change that extends workflow interception to
     programmatic clients.
     """
     servlet = ApiServlet()
     expdb.container.descriptor.add_servlet(servlet, "/api", "/api/*")
     workflow_filter = expdb.container.context.get("workflow_filter")
-    if with_workflow_filter and workflow_filter is not None:
+    if workflow_filter is not None:
         expdb.container.descriptor.add_filter(workflow_filter, "/api", "/api/*")
     return servlet

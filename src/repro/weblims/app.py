@@ -78,20 +78,16 @@ def build_expdb(
     wal_path: str | os.PathLike[str] | None = None,
     install_schema: bool = True,
     sync_policy: str = "group",
-    group_window_s: float = 0.0,
 ) -> ExpDB:
     """Build a fresh Exp-DB application.
 
     ``wal_path`` enables durability; ``install_schema=False`` skips the
     core schema (for reopening an existing WAL, which replays its own
-    DDL).  ``sync_policy``/``group_window_s`` select the WAL durability
-    discipline (see :mod:`repro.seglog`) — ``"group"`` batches
-    concurrent commit fsyncs behind one barrier, ``"off"`` never
-    fsyncs.
+    DDL).  ``sync_policy`` selects the WAL durability discipline (see
+    :mod:`repro.seglog`) — ``"group"`` batches concurrent commit fsyncs
+    behind one barrier, ``"off"`` never fsyncs.
     """
-    db = Database(
-        wal_path, sync_policy=sync_policy, group_window_s=group_window_s
-    )
+    db = Database(wal_path, sync_policy=sync_policy)
     if install_schema:
         install_core_schema(db)
     bean = TableBean(db)

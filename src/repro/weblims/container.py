@@ -184,7 +184,7 @@ class WebContainer:
             path=request.path,
         ).observe(
             span.duration_ms or 0.0,
-            trace_id=span.trace_id if hub.exemplars_enabled else None,
+            trace_id=span.trace_id if hub.profiler is not None else None,
         )
         hub.registry.counter(
             "http_requests_total",
@@ -206,7 +206,7 @@ class WebContainer:
 
     def _handle_guarded(self, request: HttpRequest) -> HttpResponse:
         try:
-            return self._execute(request, apply_filters=True)
+            return self._execute(request)
         except RoutingError as error:
             self.stats.errors += 1
             return HttpResponse.error(404, str(error))
@@ -219,14 +219,12 @@ class WebContainer:
             self.stats.errors += 1
             return HttpResponse.error(500, str(error))
 
-    def forward(
-        self, request: HttpRequest, path: str, apply_filters: bool = True
-    ) -> HttpResponse:
+    def forward(self, request: HttpRequest, path: str) -> HttpResponse:
         """Internal forward to another resource (RequestDispatcher analog).
 
         Per the paper, "a filter can also intercept requests and
         responses forwarded within the application", so forwards run the
-        filter chain by default.
+        filter chain.
         """
         self.stats.internal_forwards += 1
         forwarded = HttpRequest(
@@ -238,13 +236,11 @@ class WebContainer:
             attributes=request.attributes,  # shared, as in the servlet API
         )
         forwarded.attributes["forwarded_from"] = request.path
-        return self._execute(forwarded, apply_filters=apply_filters)
+        return self._execute(forwarded)
 
-    def _execute(self, request: HttpRequest, apply_filters: bool) -> HttpResponse:
+    def _execute(self, request: HttpRequest) -> HttpResponse:
         servlet = self.descriptor.servlet_for(request.path)
-        filters = (
-            self.descriptor.filters_for(request.path) if apply_filters else []
-        )
+        filters = self.descriptor.filters_for(request.path)
 
         def terminal(final_request: HttpRequest) -> HttpResponse:
             self.stats.servlet_invocations += 1

@@ -369,20 +369,17 @@ def build_protein_lab(
     colonies: int | None = 25,
     wal_path: str | None = None,
     journal_path: str | None = None,
-    observability: bool = True,
     clock: Clock | None = None,
     fault_plan: FaultPlan | None = None,
     retry_policy: RetryPolicy | None = None,
     lease_ttl_s: float = 300.0,
     max_redispatches: int = 1,
     sync_policy: str = "group",
-    group_window_s: float = 0.0,
     profiling: bool = False,
     slos=(),
     sampler: bool = False,
     witness: bool = False,
     watch: bool = False,
-    watch_rules=(),
     stuck_policy=None,
     telemetry_path: str | None = None,
 ) -> ProteinLab:
@@ -391,21 +388,21 @@ def build_protein_lab(
     ``colonies=25`` (the default) takes the PCR-screening branch;
     ``colonies=10`` takes miniprep; ``colonies=None`` lets the seeded
     RNG decide.  ``failure_rate`` injects robot failures to exercise
-    retries and multi-instance behaviour.  ``observability`` installs
-    the ``repro.obs`` hub across every tier (``lab.obs``), including
-    the ``/workflow/metrics`` exposition endpoint.
+    retries and multi-instance behaviour.  The ``repro.obs`` hub is
+    installed across every tier (``lab.obs``), including the
+    ``/workflow/metrics`` exposition endpoint.
 
     The resilience knobs feed chaos testing: ``clock`` (typically a
     ``ManualClock``) drives broker backoff and agent leases without
     wall-clock sleeps; ``fault_plan`` is attached across WAL, broker,
     manager and agents; ``retry_policy`` overrides the broker-wide
     delivery policy; ``lease_ttl_s``/``max_redispatches`` configure
-    the liveness sweep.  ``sync_policy``/``group_window_s`` select the
-    durability discipline for both the WAL and the broker journal
-    (``"group"`` shares fsync barriers between concurrent committers,
-    ``"off"`` never fsyncs).
+    the liveness sweep.  ``sync_policy`` selects the durability
+    discipline for both the WAL and the broker journal (``"group"``
+    shares fsync barriers between concurrent committers, ``"off"``
+    never fsyncs).
 
-    ``profiling`` (requires ``observability``) turns on the
+    ``profiling`` turns on the
     ``repro.obs.prof`` layer — latency attribution, lock contention
     profiling, exemplars, slow-trace retention and (with ``slos``,
     an iterable of :class:`~repro.obs.prof.slo.SLOPolicy`) burn-rate
@@ -415,24 +412,18 @@ def build_protein_lab(
     locks, asserting observed acquisition order against conlint's
     static lock graph (``lab.obs.profiler.witness.check()``).
 
-    ``watch`` (requires ``observability``) installs the
-    ``repro.obs.watch`` layer — state-residency tracking with
-    stuck-instance detection (tuned by ``stuck_policy``), the alert
-    engine (stock rules plus ``watch_rules``), the per-instance flight
+    ``watch`` installs the ``repro.obs.watch`` layer — state-residency
+    tracking with stuck-instance detection (tuned by ``stuck_policy``),
+    the alert engine with its stock rules, the per-instance flight
     recorder and, when ``telemetry_path`` is given, a JSON-lines
     telemetry sink for alert transitions and metrics snapshots.
     """
-    app = build_expdb(
-        wal_path=wal_path,
-        sync_policy=sync_policy,
-        group_window_s=group_window_s,
-    )
+    app = build_expdb(wal_path=wal_path, sync_policy=sync_policy)
     broker = MessageBroker(
         journal_path=journal_path,
         clock=clock,
         default_retry_policy=retry_policy,
         sync_policy=sync_policy,
-        group_window_s=group_window_s,
     )
     email = EmailTransport()
     manager = AgentManager(
@@ -458,38 +449,36 @@ def build_protein_lab(
     build_protein_agents(lab, seed=seed, failure_rate=failure_rate, colonies=colonies)
     if fault_plan is not None:
         lab.attach_faults(fault_plan)
-    if observability:
-        lab.obs = install_observability(
+    lab.obs = install_observability(
+        expdb=app,
+        engine=engine,
+        broker=broker,
+        manager=manager,
+        agents=lab.agents,
+        email=email,
+    )
+    if profiling:
+        from repro.obs.prof import install_profiling
+
+        install_profiling(
+            lab.obs,
+            db=app.db,
+            broker=broker,
+            slos=slos,
+            sampler=sampler,
+            witness=witness,
+        )
+    if watch:
+        from repro.obs.watch import install_watch
+
+        install_watch(
+            lab.obs,
             expdb=app,
             engine=engine,
             broker=broker,
             manager=manager,
-            agents=lab.agents,
-            email=email,
+            stuck_policy=stuck_policy,
+            telemetry_path=telemetry_path,
+            clock=clock,
         )
-        if profiling:
-            from repro.obs.prof import install_profiling
-
-            install_profiling(
-                lab.obs,
-                db=app.db,
-                broker=broker,
-                slos=slos,
-                sampler=sampler,
-                witness=witness,
-            )
-        if watch:
-            from repro.obs.watch import install_watch
-
-            install_watch(
-                lab.obs,
-                expdb=app,
-                engine=engine,
-                broker=broker,
-                manager=manager,
-                rules=watch_rules,
-                stuck_policy=stuck_policy,
-                telemetry_path=telemetry_path,
-                clock=clock,
-            )
     return lab

@@ -126,3 +126,74 @@ class TestErrorPaths:
         app, __ = wired
         response = app.get("/workflow", action="events", since="later")
         assert response.status == 400
+
+
+@pytest.fixture
+def gated(wired):
+    app, engine = wired
+    pattern = (
+        PatternBuilder("gated")
+        .task("a", experiment_type="A", requires_authorization=True)
+        .task("b", experiment_type="B")
+        .flow("a", "b")
+        .data("a", "b", sample_type="SA")
+        .build(db=app.db)
+    )
+    save_pattern(app.db, pattern)
+    return app, engine
+
+
+class TestAuthorizationsAction:
+    def test_lists_pending_requests_of_one_workflow(self, gated):
+        app, engine = gated
+        first = engine.start_workflow("gated")["workflow_id"]
+        engine.start_workflow("gated")
+        everything = app.get("/workflow", action="authorizations")
+        assert everything.status == 200
+        assert len(everything.attributes["authorizations"]) == 2
+        response = app.get(
+            "/workflow", action="authorizations", workflow_id=str(first)
+        )
+        assert response.status == 200
+        pending = response.attributes["authorizations"]
+        assert [row["workflow_id"] for row in pending] == [first]
+
+    def test_malformed_workflow_id_is_400_through_the_filter(self, gated):
+        app, __ = gated
+        response = app.get(
+            "/user", workflow_action="authorizations", workflow_id="abc"
+        )
+        assert response.status == 400
+        assert "must be an integer" in response.body
+
+
+class TestAbortInstanceAction:
+    def _instance(self, engine, workflow_id):
+        view = engine.workflow_view(workflow_id)
+        return view.tasks["a"].instances[0].experiment_id
+
+    def test_abort_then_abort_again_is_409(self, wired):
+        app, engine = wired
+        workflow_id = engine.start_workflow("misc")["workflow_id"]
+        experiment_id = self._instance(engine, workflow_id)
+        response = app.post(
+            "/workflow", action="abort_instance",
+            experiment_id=str(experiment_id),
+        )
+        assert response.status == 200
+        assert f"instance {experiment_id} aborted" in response.body
+        experiment = app.db.get("Experiment", experiment_id)
+        assert experiment["wf_state"] == "aborted"
+        again = app.post(
+            "/workflow", action="abort_instance",
+            experiment_id=str(experiment_id),
+        )
+        assert again.status == 409
+
+    def test_malformed_experiment_id_is_400(self, wired):
+        app, __ = wired
+        response = app.post(
+            "/workflow", action="abort_instance", experiment_id="x"
+        )
+        assert response.status == 400
+        assert "must be an integer" in response.body

@@ -465,6 +465,46 @@ class TestUntimedDeliveries:
         assert series["labels"] == {"reason": "recovered"}
         assert series["value"] == 1
 
+    def test_first_delivery_timed_and_stamp_cleared(self):
+        clock = ManualClock()
+        hub = ObservabilityHub(clock=clock)
+        broker = MessageBroker()
+        hub.watch_broker(broker)
+        broker.declare_queue("q")
+        sent = broker.send("q", "body")
+        assert sent.sent_at == clock.monotonic()
+        assert "sent_at" not in sent.to_wire()
+        clock.advance(0.25)
+        message = broker.receive("q")
+        assert message.sent_at is None
+        snapshot = hub.registry.snapshot()
+        [series] = snapshot["broker_delivery_wait_ms"]["series"]
+        assert series["summary"]["count"] == 1.0
+        assert series["summary"]["sum"] == pytest.approx(250.0)
+        assert "broker_deliveries_untimed" not in snapshot
+
+    def test_journal_recovered_deliveries_counted_by_reason(self, tmp_path):
+        journal = str(tmp_path / "broker.journal")
+        first = MessageBroker(journal_path=journal)
+        first.declare_queue("q")
+        first.send("q", "in flight at the crash")
+        first.send("q", "never delivered")
+        first.receive("q")
+        first.close()
+        hub = ObservabilityHub()
+        broker = MessageBroker(journal_path=journal)
+        hub.watch_broker(broker)
+        broker.receive("q")
+        broker.receive("q")
+        snapshot = hub.registry.snapshot()
+        reasons = {
+            series["labels"]["reason"]: series["value"]
+            for series in snapshot["broker_deliveries_untimed"]["series"]
+        }
+        assert reasons == {"recovered": 1, "redelivered": 1}
+        assert "broker_delivery_wait_ms" not in snapshot
+        broker.close()
+
 
 class TestEndToEnd:
     @pytest.fixture(scope="class")
@@ -583,7 +623,6 @@ class TestProfilingOffByDefault:
     def test_bare_hub_has_no_profiler_and_no_exemplars(self):
         hub = ObservabilityHub()
         assert hub.profiler is None
-        assert hub.exemplars_enabled is False
 
     def test_profile_servlet_reports_disabled(self):
         from repro.obs import install_observability

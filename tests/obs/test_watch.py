@@ -465,6 +465,27 @@ class TestFlightRecorder:
         text = watcher.recorder.render_text(workflow_id)
         assert f"workflow {workflow_id}" in text
 
+    def test_timeline_lists_each_event_once(self):
+        lab, __, __, watcher = self.make_system()
+        response = lab.app.post(
+            "/user", workflow_action="start", pattern="protein_creation"
+        )
+        lab.run_messages()
+        workflow_id = response.attributes["workflow_id"]
+        timeline = watcher.recorder.timeline(workflow_id)
+        audit_sequences = {
+            row["sequence"] for row in lab.obs.audit.timeline(workflow_id)
+        }
+        assert None not in audit_sequences
+        spans = [e for e in timeline["events"] if e["source"] == "span"]
+        assert spans, "request and agent spans stay on the timeline"
+        repeated = [
+            span["name"]
+            for span in spans
+            if span["attributes"].get("sequence") in audit_sequences
+        ]
+        assert repeated == []
+
     def test_install_watch_is_idempotent_per_hub(self):
         from repro.obs.watch import install_watch
 
