@@ -24,6 +24,14 @@ auth.response     agent→engine   headers carry auth id, approve flag
 ================  =============  ==========================================
 
 The engine's inbound queue is :data:`ENGINE_QUEUE`.
+
+Ordering: the engine calls :meth:`Dispatcher.choose_agent` while an
+engine call runs, but queues every outbound message (``dispatch_instance``,
+``send_abort``, ``notify_authorization``) and makes those calls only once
+the engine call's transaction is durable — in call order, inside one
+further transaction that holds the audit rows the dispatcher's events
+write.  A message therefore never names a row that recovery could lose,
+and a call that raises sends nothing.
 """
 
 from __future__ import annotations

@@ -43,19 +43,30 @@ Design decisions, mapped to the paper:
 * **Termination control (§4.2)**: final tasks always require
   authorization; the workflow completes when its final tasks are decided
   and at least one completed.
+
+* **One commit per engine call**: every public method is one unit of
+  work (see :func:`_synchronized`).  Its state transitions and the audit
+  rows of the events it emits commit together in one transaction, or —
+  if it raises — not at all; the events stay in the in-memory
+  :class:`EventLog`, so the durable trail records only what committed.
+  Broker messages (task dispatch, abort, authorization request) are
+  queued during the call and sent only once its commit is durable, so
+  no message ever names a row that recovery could lose.
 """
 
 # conlint: module-allow=CC003 -- the bean lock is deliberately held
 # across durable database writes: one re-entrant lock serialises all
-# engine methods (the paper's servlet-bean concurrency model), so the
-# commit fsync runs under it.  This is the known cost of the current
-# thread-per-request model; per-instance serialisation (ROADMAP item 2)
-# replaces the bean lock entirely, and this module-allow is the
+# engine methods (the paper's servlet-bean concurrency model), and each
+# call's one commit (plus one for its deferred broker messages) waits on
+# its durability barrier under it.  This is the known cost of the
+# current thread-per-request model; per-instance serialisation (ROADMAP
+# item 2) replaces the bean lock entirely, and this module-allow is the
 # inventory of exactly the sites that rewrite must move out from under
 # a lock.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import threading
 from typing import Any, Callable, Iterable, TypeVar
@@ -87,17 +98,38 @@ _Method = TypeVar("_Method", bound=Callable)
 
 
 def _synchronized(method: _Method) -> _Method:
-    """Serialise a public engine method under the bean's lock.
+    """Run a public engine method as one unit of work under the bean lock.
 
     The original WorkflowBean is a servlet-container bean invoked from
     concurrent request threads; one re-entrant lock per bean gives the
     same calls-run-one-at-a-time behaviour (engine methods freely call
-    each other, hence an RLock)."""
+    each other, hence an RLock).
+
+    The outermost call opens one database transaction, runs the method
+    and commits once, so it waits on a single durability barrier.
+    Nested engine calls join it, as does a call from a thread that
+    already owns a transaction (whose owner then commits it).  Broker
+    messages queued through :meth:`WorkflowBean._send` go out after the
+    commit, in call order, inside one second transaction that holds
+    their dispatch audit rows; if the call raises they are dropped with
+    the rollback."""
 
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
         with self._lock:
-            return method(self, *args, **kwargs)
+            if self._outbox is not None:
+                return method(self, *args, **kwargs)
+            self._outbox = outbox = []
+            try:
+                with self._unit():
+                    result = method(self, *args, **kwargs)
+            finally:
+                self._outbox = None
+            if outbox:
+                with self._unit():
+                    for send in outbox:
+                        send()
+            return result
 
     return wrapper  # type: ignore[return-value]
 
@@ -123,6 +155,19 @@ class WorkflowBean:
         #: Number of check_workflow evaluations (feeds the cost model).
         self.check_count = 0
         self._lock = threading.RLock()
+        #: Broker messages of the open unit of work; ``None`` outside one.
+        self._outbox: list[Callable[[], None]] | None = None
+
+    def _unit(self) -> contextlib.AbstractContextManager:
+        """A transaction for one unit of work, unless this thread owns one."""
+        if self.db.owns_transaction:
+            return contextlib.nullcontext()
+        return self.db.transaction()
+
+    def _send(self, message: Callable[..., None], *args: Any) -> None:
+        """Queue a dispatcher message; it is sent after the unit commits."""
+        assert self._outbox is not None, "messages are sent from engine calls"
+        self._outbox.append(functools.partial(message, *args))
 
     # ------------------------------------------------------------------
     # Workflow lifecycle
@@ -145,27 +190,26 @@ class WorkflowBean:
         if pattern_row is None:
             raise SpecificationError(f"no stored pattern named {pattern_name!r}")
         parent_workflow_id, parent_wftask_id = _parent or (None, None)
-        with self.db.transaction():
-            workflow = self.db.insert(
-                "Workflow",
+        workflow = self.db.insert(
+            "Workflow",
+            {
+                "pattern_id": pattern_row["pattern_id"],
+                "name": name or pattern_name,
+                "status": "running",
+                "project_id": project_id,
+                "parent_workflow_id": parent_workflow_id,
+                "parent_wftask_id": parent_wftask_id,
+            },
+        )
+        for task_row in self.specs.task_rows(pattern_row["pattern_id"]):
+            self.db.insert(
+                "WFTask",
                 {
-                    "pattern_id": pattern_row["pattern_id"],
-                    "name": name or pattern_name,
-                    "status": "running",
-                    "project_id": project_id,
-                    "parent_workflow_id": parent_workflow_id,
-                    "parent_wftask_id": parent_wftask_id,
+                    "workflow_id": workflow["workflow_id"],
+                    "wfp_task_id": task_row["wfp_task_id"],
+                    "state": TaskState.CREATED.value,
                 },
             )
-            for task_row in self.specs.task_rows(pattern_row["pattern_id"]):
-                self.db.insert(
-                    "WFTask",
-                    {
-                        "workflow_id": workflow["workflow_id"],
-                        "wfp_task_id": task_row["wfp_task_id"],
-                        "state": TaskState.CREATED.value,
-                    },
-                )
         self.events.emit(
             "workflow.started",
             workflow_id=workflow["workflow_id"],
@@ -411,7 +455,8 @@ class WorkflowBean:
             task=taskdef.name,
             agent=authorizer["name"] if authorizer else None,
         )
-        self.dispatcher.notify_authorization(
+        self._send(
+            self.dispatcher.notify_authorization,
             authorizer,
             request["auth_id"],
             workflow,
@@ -531,26 +576,25 @@ class WorkflowBean:
         taskdef: TaskDef,
     ) -> dict[str, Any]:
         agent = self.dispatcher.choose_agent(taskdef.experiment_type)
-        with self.db.transaction():
-            experiment = self.db.insert(
-                "Experiment",
-                {
-                    "project_id": workflow["project_id"],
-                    "type_name": taskdef.experiment_type,
-                    "status": "new",
-                    "workflow_id": workflow["workflow_id"],
-                    "wftask_id": task_row["wftask_id"],
-                    "agent_id": agent["agent_id"] if agent else None,
-                    "wf_state": InstanceState.CREATED.value,
-                    "wf_success": None,
-                    "wf_current": True,
-                },
+        experiment = self.db.insert(
+            "Experiment",
+            {
+                "project_id": workflow["project_id"],
+                "type_name": taskdef.experiment_type,
+                "status": "new",
+                "workflow_id": workflow["workflow_id"],
+                "wftask_id": task_row["wftask_id"],
+                "agent_id": agent["agent_id"] if agent else None,
+                "wf_state": InstanceState.CREATED.value,
+                "wf_success": None,
+                "wf_current": True,
+            },
+        )
+        type_table = self._type_table(taskdef.experiment_type)
+        if type_table is not None:
+            self.db.insert(
+                type_table, {"experiment_id": experiment["experiment_id"]}
             )
-            type_table = self._type_table(taskdef.experiment_type)
-            if type_table is not None:
-                self.db.insert(
-                    type_table, {"experiment_id": experiment["experiment_id"]}
-                )
         self.events.emit(
             "instance.created",
             workflow_id=workflow["workflow_id"],
@@ -563,8 +607,9 @@ class WorkflowBean:
             inputs = self.collect_available_inputs(
                 workflow["workflow_id"], taskdef.name
             )
-            self.dispatcher.dispatch_instance(
-                agent, workflow, taskdef.name, experiment, inputs
+            self._send(
+                self.dispatcher.dispatch_instance,
+                agent, workflow, taskdef.name, experiment, inputs,
             )
         return experiment
 
@@ -655,19 +700,18 @@ class WorkflowBean:
                 f"instance {experiment_id} is {experiment['wf_state']!r}, "
                 "cannot record results"
             )
-        with self.db.transaction():
-            for sample_id in chosen_input_ids:
-                self._link_io(experiment, sample_id, "input")
-            for output in outputs:
-                sample_id = self._create_output_sample(experiment, output)
-                self._link_io(experiment, sample_id, "output")
-            if result_values:
-                self._update_result_values(experiment, result_values)
-            self.db.update(
-                "Experiment",
-                EQ("experiment_id", experiment_id),
-                {"wf_success": success, "status": "done"},
-            )
+        for sample_id in chosen_input_ids:
+            self._link_io(experiment, sample_id, "input")
+        for output in outputs:
+            sample_id = self._create_output_sample(experiment, output)
+            self._link_io(experiment, sample_id, "output")
+        if result_values:
+            self._update_result_values(experiment, result_values)
+        self.db.update(
+            "Experiment",
+            EQ("experiment_id", experiment_id),
+            {"wf_success": success, "status": "done"},
+        )
         experiment = self.db.get("Experiment", experiment_id)
         self._apply_instance_event(
             experiment, Event.COMPLETE if success else Event.ABORT
@@ -710,7 +754,7 @@ class WorkflowBean:
         if experiment["agent_id"] is not None:
             agent = self.db.get("Agent", experiment["agent_id"])
             if agent is not None:
-                self.dispatcher.send_abort(agent, experiment_id)
+                self._send(self.dispatcher.send_abort, agent, experiment_id)
         if _propagate:
             self._after_instance_decided(self.db.get("Experiment", experiment_id))
 

@@ -312,11 +312,13 @@ class Database:
     def _await_txn_slot(self) -> None:
         """Wait (mutex held) until no other thread's transaction is open.
 
-        Every write statement and ``begin`` calls this first.  The wait
-        releases the statement mutex — the condition is built over it —
-        so the owner can finish its transaction meanwhile.  It cannot
-        deadlock: every transaction body (engine, ``TableBean``,
-        ``save_pattern``) runs only database statements, so an owner
+        Every write statement, ``begin`` and a manual checkpoint call
+        this first.  The wait releases the statement mutex — the
+        condition is built over it — so the owner can finish its
+        transaction meanwhile.  It cannot deadlock: a ``TableBean`` or
+        ``save_pattern`` transaction runs only database statements, and
+        an engine call's (``WorkflowBean``) takes only leaf locks and the
+        broker's beyond the bean lock it already holds, so an owner
         never waits on a lock a waiter holds.
         """
         while self._txn.owned_elsewhere():
@@ -636,6 +638,11 @@ class Database:
     def in_transaction(self) -> bool:
         """Whether an explicit transaction is open."""
         return self._txn.active
+
+    @property
+    def owns_transaction(self) -> bool:
+        """Whether the calling thread has an explicit transaction open."""
+        return self._txn.owned_here()
 
     def _forbid_in_transaction(self, operation: str) -> None:
         if self._txn.active:
@@ -1558,9 +1565,9 @@ class Database:
         if not self._ckpt_lock.acquire(blocking=False):
             return
         try:
-            self._checkpoint_online("policy")
+            self._checkpoint_online("policy", wait=False)
         except TransactionError:
-            pass  # a transaction is open on this thread; retry later
+            pass  # a transaction is open; the next commit retries
         finally:
             self._ckpt_lock.release()
 
@@ -1720,17 +1727,31 @@ class Database:
         manifest publishes it) and ``wal.compact`` (before old segments
         are unlinked): a crash at any of them recovers to exactly the
         old or the new organisation of the same committed state.
+
+        Waits while another thread's transaction is open (the checkpoint
+        captures committed state only); raises :class:`TransactionError`
+        if the calling thread has one open.
         """
         if self._wal is None:
             raise TransactionError("checkpoint requires a WAL-backed database")
+        # Refused before taking the checkpoint lock: a transaction owner
+        # must never block on it while a checkpoint waits for its commit.
+        if self._txn.owned_here():
+            raise TransactionError("checkpoint is not allowed in a transaction")
         with self._ckpt_lock:
-            return self._checkpoint_online(reason)
+            return self._checkpoint_online(reason, wait=True)
 
-    def _checkpoint_online(self, reason: str) -> int:
-        """The checkpoint body; caller holds ``_ckpt_lock``."""
+    def _checkpoint_online(self, reason: str, wait: bool) -> int:
+        """The checkpoint body; caller holds ``_ckpt_lock``.
+
+        ``wait`` waits for another thread's open transaction to close;
+        without it any open transaction refuses the checkpoint.
+        """
         assert self._wal is not None
         t0 = time.perf_counter()
         with self._mutex:
+            if wait:
+                self._await_txn_slot()
             self._forbid_in_transaction("checkpoint")
             watermark = self._wal.rotate()
             version, __ = self._mvcc.pin()

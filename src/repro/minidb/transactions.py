@@ -117,6 +117,11 @@ class TransactionManager:
         txn = self._current
         return txn is not None and txn.owner != threading.get_ident()
 
+    def owned_here(self) -> bool:
+        """Whether the open transaction belongs to the calling thread."""
+        txn = self._current
+        return txn is not None and txn.owner == threading.get_ident()
+
     def record(self, undo: UndoEntry, redo: dict[str, Any]) -> None:
         """Log one mutation into the open transaction.
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import TransactionError
@@ -90,6 +92,31 @@ class TestCheckpoint:
         with pytest.raises(TransactionError):
             db.checkpoint()
         db.rollback()
+
+    def test_checkpoint_waits_for_another_threads_transaction(self, wal_path):
+        db = Database(wal_path)
+        db.create_table(schema())
+        db.begin()
+        db.insert("T", {"value": "in flight"})
+        outcome: list = []
+
+        def checkpoint() -> None:
+            try:
+                outcome.append(db.checkpoint())
+            except TransactionError as error:
+                outcome.append(error)
+
+        thread = threading.Thread(target=checkpoint)
+        thread.start()
+        thread.join(timeout=0.2)
+        assert thread.is_alive() and outcome == []
+        db.commit()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert len(outcome) == 1 and isinstance(outcome[0], int)
+        db.close()
+        reopened = Database(wal_path)
+        assert [row["value"] for row in reopened.select("T")] == ["in flight"]
 
     def test_checkpoint_without_wal_rejected(self):
         db = Database()
