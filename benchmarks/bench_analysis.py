@@ -6,10 +6,12 @@ pattern at the ``MAX_GUARDS`` exploration cap) and records diagnostics
 per second plus the marking-exploration counters, emitting
 ``BENCH_analysis.json`` so successive runs stay comparable.
 
-The 5000-task chain is the case that forced the verifier onto
-precomputed adjacency (``_Graph``) instead of the quadratic
-``pattern.depth_map()`` helpers; a regression there shows up here as a
-collapse in patterns/sec long before tests notice.
+The 5000-task chain checks that the pattern graph stays linear: the
+verifier and the engine share one ``repro.core.evaluator.PatternGraph``,
+built once per ``check_pattern`` call in O(V+E) (adjacency, BFS depths,
+strongly connected components, back-edges, forward order).  A quadratic
+regression there shows up here as a collapse in patterns/sec long
+before tests notice.
 """
 
 from __future__ import annotations

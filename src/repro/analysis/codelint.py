@@ -24,6 +24,9 @@ CL005     no dead code: statements after ``return``/``raise``/
 CL006     audit rows have one writer: no ``.audit_record(...)`` or
           ``<obj>.audit.record(...)`` call outside ``obs/audit.py`` —
           emit an event; the audit store's subscriber writes the row
+CL007     the Fig. 4 rules have one home: no definition named like one
+          of their former copies (:data:`FIG4_RULE_NAMES`) outside
+          ``core/evaluator.py`` — the engine and wfcheck call it
 ========  ===========================================================
 
 All findings are error severity: ``python -m repro.analysis codelint``
@@ -46,6 +49,15 @@ STATE_MUTATION_ALLOWLIST = ("core/states.py",)
 
 #: Files allowed to write audit rows directly (the AuditStore itself).
 AUDIT_WRITER_ALLOWLIST = ("obs/audit.py",)
+
+#: The file that holds the Fig. 4 rules (the evaluator).
+FIG4_RULES_HOME = "core/evaluator.py"
+
+#: Names of the rules' former second copies; defining one elsewhere
+#: starts a copy that can drift from the engine's rules.
+FIG4_RULE_NAMES = frozenset(
+    {"is_back_edge", "can_reach", "depth_map", "_simulate", "_eligibility_verdict"}
+)
 
 #: Constructor names that create a lock object (threading.X or bare X).
 _LOCK_FACTORIES = {"Lock", "RLock", "Condition"}
@@ -148,6 +160,7 @@ class _FileLinter:
         allow_audit = any(
             self.display.endswith(suffix) for suffix in AUDIT_WRITER_ALLOWLIST
         )
+        rules_home = self.display.endswith(FIG4_RULES_HOME)
         for node in ast.walk(tree):
             if not allow_audit and _is_audit_write(node):
                 self.add(
@@ -166,6 +179,15 @@ class _FileLinter:
                 )
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._check_defaults(node)
+                if not rules_home and node.name in FIG4_RULE_NAMES:
+                    self.add(
+                        "CL007",
+                        node.lineno,
+                        f"{node.name}() copies a Fig. 4 rule outside "
+                        f"{FIG4_RULES_HOME}",
+                        hint="call repro.core.evaluator (PatternGraph, "
+                        "eligibility, simulate) instead",
+                    )
             if not allow_state and isinstance(node, ast.Assign):
                 for target in node.targets:
                     if (

@@ -46,18 +46,21 @@ assignments over the distinct guards of the pattern — a guard being one
 transition condition against its *source* task's results.  Assignments
 that are infeasible under interval reasoning (``colonies >= 20`` and
 ``colonies < 20`` cannot both hold for the same experiment) are pruned,
-and each surviving assignment is propagated through the forward
-(non-back-edge) transition DAG with the engine's dead-path-elimination
-semantics: a task completes when all incoming legs are decided and at
-least one is live, and becomes dead when every leg is dead.  The
+and each surviving assignment is run through the engine's own rules:
+:func:`repro.core.evaluator.simulate` decides every task in forward
+(non-back-edge) topological order with the same
+:func:`~repro.core.evaluator.eligibility` verdict that
+``check_workflow`` applies — a task completes when all incoming legs
+are decided and at least one is live, and becomes dead when every leg
+is dead.  The graph (adjacency, depths, back-edges) is the engine's
+:class:`~repro.core.evaluator.PatternGraph`, built once per call.  The
 exploration is bounded by :data:`MAX_GUARDS`; larger patterns get a
 WF023 info instead of an unsound answer.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.analysis.diagnostics import Diagnostic, Report, Severity
 from repro.analysis.guards import (
@@ -68,6 +71,7 @@ from repro.analysis.guards import (
     complementary,
 )
 from repro.core.conditions import Condition
+from repro.core.evaluator import PatternGraph, simulate
 from repro.core.spec import TaskDef, WorkflowPattern
 from repro.minidb.predicates import AND, EQ
 
@@ -87,164 +91,12 @@ CONDITION_CONTEXT_ROOTS = frozenset({"experiment", "output", "task"})
 
 
 # ---------------------------------------------------------------------------
-# Graph scaffolding
-# ---------------------------------------------------------------------------
-
-
-class _Graph:
-    """Precomputed adjacency so analyses stay O(V+E) on large patterns.
-
-    The per-edge helpers on :class:`WorkflowPattern` rescan the whole
-    transition list; at benchmark scale (5000 tasks) that quadratic cost
-    dominates, so everything graph-shaped is derived once here.
-    """
-
-    def __init__(self, pattern: WorkflowPattern) -> None:
-        self.pattern = pattern
-        self.tasks = list(pattern.tasks)
-        #: Distinct (source, target) pairs in first-seen order, with the
-        #: parsed conditions of *every* transition between the pair (the
-        #: engine requires all of them to hold for the leg to be live).
-        self.pairs: dict[tuple[str, str], list[Condition]] = {}
-        self.succ: dict[str, list[str]] = {name: [] for name in self.tasks}
-        self.pred: dict[str, list[str]] = {name: [] for name in self.tasks}
-        for transition in pattern.transitions:
-            pair = (transition.source, transition.target)
-            if pair not in self.pairs:
-                self.pairs[pair] = []
-                self.succ[transition.source].append(transition.target)
-                self.pred[transition.target].append(transition.source)
-            if transition.parsed_condition is not None:
-                self.pairs[pair].append(transition.parsed_condition)
-        self.initial = [
-            name for name in self.tasks if not self.pred[name]
-        ]
-        self.final = [
-            name for name in self.tasks if not self.succ[name]
-        ]
-        self._depths: dict[str, int] | None = None
-        self._scc: dict[str, int] | None = None
-        self._forward: dict[tuple[str, str], bool] | None = None
-
-    # -- depths, SCCs, back-edges --------------------------------------
-
-    def depths(self) -> dict[str, int]:
-        if self._depths is None:
-            sentinel = len(self.tasks) + 1
-            depths = {name: sentinel for name in self.tasks}
-            frontier = deque(self.initial)
-            for name in self.initial:
-                depths[name] = 0
-            while frontier:
-                current = frontier.popleft()
-                for target in self.succ[current]:
-                    if depths[current] + 1 < depths[target]:
-                        depths[target] = depths[current] + 1
-                        frontier.append(target)
-            self._depths = depths
-        return self._depths
-
-    def scc_ids(self) -> dict[str, int]:
-        """Tarjan strongly-connected components, iteratively."""
-        if self._scc is not None:
-            return self._scc
-        index: dict[str, int] = {}
-        low: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        component: dict[str, int] = {}
-        counter = 0
-        components = 0
-        for root in self.tasks:
-            if root in index:
-                continue
-            work = [(root, iter(self.succ[root]))]
-            index[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, successors = work[-1]
-                advanced = False
-                for target in successors:
-                    if target not in index:
-                        index[target] = low[target] = counter
-                        counter += 1
-                        stack.append(target)
-                        on_stack.add(target)
-                        work.append((target, iter(self.succ[target])))
-                        advanced = True
-                        break
-                    if target in on_stack:
-                        low[node] = min(low[node], index[target])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component[member] = components
-                        if member == node:
-                            break
-                    components += 1
-        self._scc = component
-        return component
-
-    def is_back_edge(self, source: str, target: str) -> bool:
-        """Same verdict as ``WorkflowPattern.is_back_edge``: the edge
-        closes a cycle (endpoints share an SCC) and points upstream."""
-        if self._forward is None:
-            self._forward = {}
-        cached = self._forward.get((source, target))
-        if cached is not None:
-            return cached
-        scc = self.scc_ids()
-        depths = self.depths()
-        verdict = (
-            scc[source] == scc[target] and depths[source] >= depths[target]
-        )
-        self._forward[(source, target)] = verdict
-        return verdict
-
-    def forward_pairs(self) -> list[tuple[str, str]]:
-        return [
-            pair for pair in self.pairs if not self.is_back_edge(*pair)
-        ]
-
-    def forward_topo_order(self) -> list[str]:
-        """Topological order of the forward-edge DAG (always acyclic:
-        any cycle in the full graph contains at least one back-edge)."""
-        forward = self.forward_pairs()
-        indegree = {name: 0 for name in self.tasks}
-        succ: dict[str, list[str]] = {name: [] for name in self.tasks}
-        for source, target in forward:
-            indegree[target] += 1
-            succ[source].append(target)
-        ready = deque(
-            name for name in self.tasks if indegree[name] == 0
-        )
-        order: list[str] = []
-        while ready:
-            current = ready.popleft()
-            order.append(current)
-            for target in succ[current]:
-                indegree[target] -= 1
-                if indegree[target] == 0:
-                    ready.append(target)
-        return order
-
-
-# ---------------------------------------------------------------------------
 # Legacy checks (byte-identical messages, historical order)
 # ---------------------------------------------------------------------------
 
 
 def _legacy_structure(
-    pattern: WorkflowPattern, graph: _Graph, report: Report
+    pattern: WorkflowPattern, graph: PatternGraph, report: Report
 ) -> None:
     if not graph.initial:
         report.add(
@@ -266,7 +118,7 @@ def _legacy_structure(
     frontier = list(graph.initial)
     while frontier:
         current = frontier.pop()
-        for target in graph.succ[current]:
+        for target in graph.targets[current]:
             if target not in reached:
                 reached.add(target)
                 frontier.append(target)
@@ -340,7 +192,7 @@ def _legacy_unconditional_cycle(
 
 
 def _legacy_final_authorization(
-    pattern: WorkflowPattern, graph: _Graph, report: Report
+    pattern: WorkflowPattern, graph: PatternGraph, report: Report
 ) -> None:
     unauthorized = [
         name
@@ -476,7 +328,7 @@ def _legacy_types(
 
 
 def _check_conditions(
-    pattern: WorkflowPattern, graph: _Graph, report: Report
+    pattern: WorkflowPattern, graph: PatternGraph, report: Report
 ) -> dict[str, ConditionAnalysis]:
     """Per-condition satisfiability; returns the analyses keyed by
     canonical unparse for reuse by the cycle refinement."""
@@ -586,7 +438,7 @@ class _GuardVar:
         self.always_true = analysis.tautological() is True
 
 
-def _guard_variables(graph: _Graph) -> dict[tuple[str, str], _GuardVar]:
+def _guard_variables(graph: PatternGraph) -> dict[tuple[str, str], _GuardVar]:
     variables: dict[tuple[str, str], _GuardVar] = {}
     for (source, __), conditions in graph.pairs.items():
         for condition in conditions:
@@ -620,41 +472,17 @@ def _feasible_assignment(
     )
 
 
-def _simulate(
-    graph: _Graph,
-    order: list[str],
-    forward_pred: dict[str, list[str]],
-    assignment: dict[tuple[str, str], bool],
-) -> tuple[set[str], set[str]]:
-    """Propagate one guard assignment through the forward DAG.
-
-    Engine semantics with dead-path elimination, assuming instances
-    succeed: a leg is live when its source completed and every guard on
-    it is assigned true; a task completes when at least one leg is live
-    and dies when all legs are dead.
-    """
-    completed: set[str] = set()
-    dead: set[str] = set()
-    for task in order:
-        sources = forward_pred[task]
-        if not sources:
-            completed.add(task)
-            continue
-        live = 0
-        for source in sources:
-            if source in dead:
-                continue
-            conditions = graph.pairs[(source, task)]
-            if all(
-                assignment[(source, condition.unparse())]
-                for condition in conditions
-            ):
-                live += 1
-        if live:
-            completed.add(task)
-        else:
-            dead.add(task)
-    return completed, dead
+def _assignments(
+    variables: list[_GuardVar],
+) -> Iterator[dict[tuple[str, str], bool]]:
+    """Every feasible truth assignment over ``variables``."""
+    keys = [variable.key for variable in variables]
+    for mask in range(1 << len(keys)):
+        assignment = {
+            key: bool(mask >> index & 1) for index, key in enumerate(keys)
+        }
+        if _feasible_assignment(variables, assignment):
+            yield assignment
 
 
 def _render_assignment(
@@ -667,7 +495,7 @@ def _render_assignment(
 
 
 def _check_markings(
-    pattern: WorkflowPattern, graph: _Graph, report: Report
+    pattern: WorkflowPattern, graph: PatternGraph, report: Report
 ) -> None:
     variables = _guard_variables(graph)
     if len(variables) > MAX_GUARDS:
@@ -683,33 +511,25 @@ def _check_markings(
         report.stats["states_visited"] = 0
         return
 
-    order = graph.forward_topo_order()
-    forward_pred: dict[str, list[str]] = {name: [] for name in graph.tasks}
-    for source, target in graph.forward_pairs():
-        forward_pred[target].append(source)
-    joins = {
-        task: sources
-        for task, sources in forward_pred.items()
-        if len(sources) >= 2
-    }
+    joins: dict[str, list[str]] = {}
+    for task in graph.tasks:
+        sources = graph.forward_sources(task)
+        if len(sources) >= 2:
+            joins[task] = sources
 
     variable_list = list(variables.values())
-    keys = [variable.key for variable in variable_list]
     ever_completed: set[str] = set()
     join_fully_live: set[str] = set()
     all_finals_dead_witness: dict[tuple[str, str], bool] | None = None
     explored = 0
     states = 0
 
-    for mask in range(1 << len(keys)):
-        assignment = {
-            key: bool(mask >> index & 1)
-            for index, key in enumerate(keys)
-        }
-        if not _feasible_assignment(variable_list, assignment):
-            continue
+    for assignment in _assignments(variable_list):
         explored += 1
-        completed, dead = _simulate(graph, order, forward_pred, assignment)
+        completed, dead = simulate(
+            graph,
+            lambda source, condition: assignment[(source, condition.unparse())],
+        )
         states += len(graph.tasks)
         ever_completed |= completed
         for join, sources in joins.items():
@@ -781,7 +601,7 @@ def _check_markings(
 
 
 def _exclusive_branch_justified(
-    graph: _Graph, variables: list[_GuardVar], join: str
+    graph: PatternGraph, variables: list[_GuardVar], join: str
 ) -> bool:
     """Whether a never-fully-live join is explained by a complementary
     guard pair upstream of it (branch-and-rejoin, Fig. 1)."""
@@ -806,15 +626,12 @@ def _exclusive_branch_justified(
     return False
 
 
-def _forward_ancestors(graph: _Graph, task: str) -> set[str]:
-    forward_pred: dict[str, list[str]] = {name: [] for name in graph.tasks}
-    for source, target in graph.forward_pairs():
-        forward_pred[target].append(source)
+def _forward_ancestors(graph: PatternGraph, task: str) -> set[str]:
     ancestors: set[str] = set()
     frontier = [task]
     while frontier:
         current = frontier.pop()
-        for source in forward_pred[current]:
+        for source in graph.forward_sources(current):
             if source not in ancestors:
                 ancestors.add(source)
                 frontier.append(source)
@@ -822,18 +639,15 @@ def _forward_ancestors(graph: _Graph, task: str) -> set[str]:
 
 
 def _check_orphans(
-    pattern: WorkflowPattern, graph: _Graph, report: Report
+    pattern: WorkflowPattern, graph: PatternGraph, report: Report
 ) -> None:
     """WF021: a task whose forward paths never reach a final task keeps
     its tokens invisible to workflow-termination accounting."""
     reaches_final: set[str] = set(graph.final)
-    forward_pred: dict[str, list[str]] = {name: [] for name in graph.tasks}
-    for source, target in graph.forward_pairs():
-        forward_pred[target].append(source)
     frontier = list(graph.final)
     while frontier:
         current = frontier.pop()
-        for source in forward_pred[current]:
+        for source in graph.forward_sources(current):
             if source not in reaches_final:
                 reaches_final.add(source)
                 frontier.append(source)
@@ -928,7 +742,7 @@ def _check_subworkflow_boundaries(
 
 
 def _check_authorization_gates(
-    pattern: WorkflowPattern, graph: _Graph, report: Report
+    pattern: WorkflowPattern, graph: PatternGraph, report: Report
 ) -> None:
     final = set(graph.final)
     for task in pattern.tasks.values():
@@ -967,7 +781,7 @@ def check_pattern(
         )
         return report
 
-    graph = _Graph(pattern)
+    graph = PatternGraph(pattern)
     _legacy_structure(pattern, graph, report)
     _legacy_unconditional_cycle(pattern, report)
     _legacy_final_authorization(pattern, graph, report)

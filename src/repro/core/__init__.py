@@ -13,6 +13,8 @@ Layout mirrors the paper's §4 (model) and §5 (manager):
 * :mod:`~repro.core.datamodel` / :mod:`~repro.core.persistence` — the
   workflow data model of Fig. 5 layered onto Exp-DB's schema (only the
   ``Experiment`` table is modified).
+* :mod:`~repro.core.evaluator` — the Fig. 4 rules as pure functions
+  over one pattern graph, shared by the engine and ``wfcheck``.
 * :mod:`~repro.core.engine` — the ``WorkflowBean``: instantiation,
   eligibility, multi-instance task execution, restart/backtracking,
   authorization, output forwarding.

@@ -14,15 +14,14 @@ Design decisions, mapped to the paper:
   makes the response-time profile DB-dominated, which is the paper's
   central performance observation.)
 
-* **Eligibility (§4.2)**: a task is eligible when, for every distinct
-  source task of its incoming transitions, the source has *completed*,
-  or is active with at least its default number of instances completed —
-  "this allows the system to begin any tasks without undue delay, while
-  giving users the power to delay that execution if more source task
-  instances are desired" (the delay lever being the authorization gate).
-  Conditions are evaluated at that moment; a false (or erroring)
-  condition on any incoming transition makes the task unreachable, as
-  does an aborted or unreachable source.
+* **Eligibility (§4.2)**, task completion and workflow termination are
+  decided by the pure rules of :mod:`repro.core.evaluator`;
+  :meth:`WorkflowBean.check_workflow` is the shell that reads each
+  pass's snapshot, applies the transitions and emits their events.
+  A source enables its targets once completed, or active with its
+  default number of instances completed — "giving users the power to
+  delay that execution if more source task instances are desired" (the
+  delay lever being the authorization gate).
 
 * **Multiple task instances (§4.2)**: activating a task spawns its
   default number of instances; users may spawn more while the task is
@@ -71,13 +70,20 @@ import functools
 import threading
 from typing import Any, Callable, Iterable, TypeVar
 
-from repro.core.conditions import Condition
 from repro.core.datamodel import EXPERIMENT_EXTENSION_COLUMNS
 from repro.core.dispatch import Dispatcher, NullDispatcher
+from repro.core.evaluator import (
+    ContextGuard,
+    PatternGraph,
+    Snapshot,
+    eligibility,
+    settle,
+    termination,
+)
 from repro.core.events import EventLog
 from repro.core.instance import WorkflowView, load_workflow_view
 from repro.core.persistence import PatternStore, agents_for_type
-from repro.core.spec import TaskDef, WorkflowPattern
+from repro.core.spec import TaskDef
 from repro.core.states import (
     Event,
     InstanceState,
@@ -87,7 +93,6 @@ from repro.core.states import (
 )
 from repro.errors import (
     AuthorizationError,
-    ConditionError,
     InstanceError,
     SpecificationError,
 )
@@ -238,6 +243,13 @@ class WorkflowBean:
         This is the routine the paper describes being triggered by every
         relevant data change — and the reason "a simple insert into an
         experiment related table can trigger several database reads".
+
+        It is the shell around :mod:`repro.core.evaluator`, which holds
+        the rules.  Each pass reads one snapshot (the task rows and the
+        workflow's current instances), asks the evaluator for each
+        task's transition in ``wftask_id`` order, applies it, and
+        updates the snapshot in memory.  Starting a child workflow
+        re-enters the engine, so the snapshot is read again after it.
         """
         self.check_count += 1
         workflow = self.db.get("Workflow", workflow_id)
@@ -245,196 +257,127 @@ class WorkflowBean:
             raise InstanceError(f"no workflow with id {workflow_id}")
         if workflow["status"] != "running":
             return
-        pattern = self._pattern(workflow["pattern_id"])
+        graph = self._graph(workflow["pattern_id"])
 
         changed = True
         while changed:
             changed = False
-            tasks = self._task_rows(workflow_id)
-            for task_row in tasks:
-                taskdef = pattern.task(self._task_name(task_row))
+            rows, snapshot = self._snapshot(workflow_id)
+            for name, task_row in rows.items():
+                taskdef = graph.pattern.task(name)
                 state = task_row["state"]
-                if state == TaskState.CREATED.value:
-                    changed |= self._evaluate_created(
-                        workflow, pattern, task_row, taskdef
-                    )
-                elif state == TaskState.ELIGIBLE.value:
-                    changed |= self._try_activate(workflow, task_row, taskdef)
-                elif state == TaskState.ACTIVE.value:
-                    changed |= self._refresh_active(workflow, task_row, taskdef)
-        self._update_workflow_status(workflow_id, pattern)
-
-    # -- created → eligible | unreachable --------------------------------
-
-    def _evaluate_created(
-        self,
-        workflow: dict[str, Any],
-        pattern: WorkflowPattern,
-        task_row: dict[str, Any],
-        taskdef: TaskDef,
-    ) -> bool:
-        verdict = self._eligibility_verdict(workflow, pattern, taskdef)
-        if verdict == "eligible":
-            self._apply_task_event(task_row, Event.BECOME_ELIGIBLE)
-            return True
-        if verdict == "unreachable":
-            self._apply_task_event(task_row, Event.BECOME_UNREACHABLE)
-            return True
-        return False
-
-    def _eligibility_verdict(
-        self,
-        workflow: dict[str, Any],
-        pattern: WorkflowPattern,
-        taskdef: TaskDef,
-    ) -> str:
-        """``"eligible"``, ``"unreachable"`` or ``"pending"``.
-
-        Per-source verdicts compose as follows:
-
-        * an **aborted** source makes the task unreachable outright ("if
-          a required source task ... aborts ... the task and tasks that
-          depend on it become unreachable");
-        * an **unreachable** source is a *dead path*: it is excluded
-          from the join rather than blocking it — this is what lets
-          Fig. 1's conditional branches (PCR screening vs. miniprep)
-          rejoin downstream.  Only when *every* incoming path is dead
-          does the task become unreachable;
-        * a satisfied source whose transition **condition** evaluates
-          false is likewise a dead path (the branch was not taken);
-        * otherwise the task waits until each live source is satisfied
-          (completed, or active with its default number of instances
-          completed).
-        """
-        incoming = pattern.incoming(taskdef.name)
-        if not incoming:
-            return "eligible"
-        task_rows = {
-            self._task_name(row): row for row in self._task_rows(
-                workflow["workflow_id"]
-            )
-        }
-        live_sources = 0
-        pending = False
-        for source_name in pattern.control_sources(taskdef.name):
-            source_row = task_rows[source_name]
-            source_state = source_row["state"]
-            # A loop back-edge (the source lies downstream of this task)
-            # may *enable* the task when satisfied, but never blocks it —
-            # otherwise "improve ⇄ check" style iterative loops deadlock
-            # on first entry.
-            back_edge = pattern.is_back_edge(source_name, taskdef.name)
-            if source_state == TaskState.ABORTED.value:
-                if back_edge:
-                    continue  # a failed later iteration is a dead path
-                return "unreachable"
-            if source_state == TaskState.UNREACHABLE.value:
-                continue  # dead path
-            source_def = pattern.task(source_name)
-            if not self._source_satisfied(source_row, source_def, source_state):
-                if back_edge:
-                    continue  # an un-run loop source never blocks
-                pending = True
-                live_sources += 1
-                continue
-            # Source is satisfied — evaluate this source's conditions now
-            # ("once the destination task is considered for execution").
-            branch_taken = True
-            for transition in pattern.incoming(taskdef.name):
-                if transition.source != source_name:
+                if state == TaskState.CREATED:
+                    event = self._eligibility(workflow, graph, name, rows, snapshot)
+                elif state == TaskState.ELIGIBLE:
+                    event = self._activation(workflow, task_row, taskdef)
+                elif state == TaskState.ACTIVE:
+                    event = settle(taskdef, snapshot.instances[name])
+                else:
                     continue
-                if transition.parsed_condition is None:
+                if event is None:
                     continue
-                if not self._condition_holds(
-                    workflow, source_row, source_def, transition.parsed_condition
-                ):
-                    branch_taken = False
-                    break
-            if branch_taken:
-                live_sources += 1
-            # A satisfied source whose condition failed is a dead path.
-        if live_sources == 0:
-            return "unreachable"
-        if pending:
-            return "pending"
-        return "eligible"
+                changed = True
+                snapshot.states[name] = self._apply_task_event(task_row, event)
+                if event is not Event.ACTIVATE:
+                    continue
+                if taskdef.is_subworkflow:
+                    self._start_child_workflow(workflow, task_row, taskdef)
+                    workflow = self.db.get("Workflow", workflow_id)
+                    rows, snapshot = self._snapshot(workflow_id)
+                else:
+                    for __ in range(taskdef.default_instances):
+                        self._create_and_delegate(workflow, task_row, taskdef)
 
-    def _source_satisfied(
-        self,
-        source_row: dict[str, Any],
-        source_def: TaskDef,
-        source_state: str,
-    ) -> bool:
-        if source_state == TaskState.COMPLETED.value:
-            return True
-        if source_state != TaskState.ACTIVE.value:
-            return False
-        if source_def.is_subworkflow:
-            return False  # a sub-workflow counts only once completed
-        completed = self._count_instances(
-            source_row["wftask_id"], InstanceState.COMPLETED.value
+        status = termination(graph, snapshot)
+        if status is None or workflow["status"] != "running":
+            return
+        self.db.update(
+            "Workflow", EQ("workflow_id", workflow_id), {"status": status}
         )
-        return completed >= source_def.default_instances
+        self.events.emit(
+            "workflow.finished", workflow_id=workflow_id, status=status
+        )
+        self._notify_parent(dict(workflow, status=status))
 
-    def _condition_holds(
+    def _snapshot(
+        self, workflow_id: int
+    ) -> tuple[dict[str, dict[str, Any]], Snapshot]:
+        """The workflow's task rows by name and its :class:`Snapshot`:
+        one read of ``WFTask`` and one of its current ``Experiment``
+        rows (through the ``Experiment(workflow_id)`` index).  The rules
+        consult instances only of active and completed tasks, so with
+        neither there is no instance read."""
+        rows = {self._task_name(row): row for row in self._task_rows(workflow_id)}
+        states = {name: row["state"] for name, row in rows.items()}
+        names = {row["wftask_id"]: name for name, row in rows.items()}
+        instances: dict[str, list[dict[str, Any]]] = {name: [] for name in rows}
+        if any(
+            state in (TaskState.ACTIVE, TaskState.COMPLETED)
+            for state in states.values()
+        ):
+            for experiment in self.db.select(
+                "Experiment",
+                AND(EQ("workflow_id", workflow_id), EQ("wf_current", True)),
+                order_by="experiment_id",
+            ):
+                instances[names[experiment["wftask_id"]]].append(experiment)
+        return rows, Snapshot(states, instances)
+
+    def _eligibility(
         self,
         workflow: dict[str, Any],
-        source_row: dict[str, Any],
-        source_def: TaskDef,
-        condition: Condition,
-    ) -> bool:
-        context = self._condition_context(workflow, source_row, source_def)
-        try:
-            return condition.evaluate(context)
-        except ConditionError as error:
-            # Errors never route silently: record and treat as false.
+        graph: PatternGraph,
+        task: str,
+        rows: dict[str, dict[str, Any]],
+        snapshot: Snapshot,
+    ) -> Event | None:
+        """The evaluator's verdict on a created task.  Conditions see
+        their source's context; a condition that raises counts as false
+        and is recorded — errors never route silently."""
+        guard = ContextGuard(
+            lambda source: self._condition_context(
+                workflow,
+                rows[source],
+                graph.pattern.task(source),
+                snapshot.instances[source],
+            )
+        )
+        event = eligibility(graph, task, snapshot, guard)
+        for condition, error in guard.errors:
             self.events.emit(
                 "condition.error",
                 workflow_id=workflow["workflow_id"],
                 condition=condition.source,
                 error=str(error),
             )
-            return False
+        return event
 
     # -- eligible → active (authorization permitting) ---------------------
 
-    def _try_activate(
+    def _activation(
         self,
         workflow: dict[str, Any],
         task_row: dict[str, Any],
         taskdef: TaskDef,
-    ) -> bool:
-        if taskdef.requires_authorization:
-            verdict = self._authorization_verdict(workflow, task_row, taskdef)
-            if verdict == "denied":
-                self._apply_task_event(task_row, Event.DENY)
-                return True
-            if verdict != "granted":
-                return False
-        self._apply_task_event(task_row, Event.ACTIVATE)
-        if taskdef.is_subworkflow:
-            self._start_child_workflow(workflow, task_row, taskdef)
-        else:
-            self._spawn_instances(
-                workflow, task_row, taskdef, taskdef.default_instances
-            )
-        return True
-
-    def _authorization_verdict(
-        self,
-        workflow: dict[str, Any],
-        task_row: dict[str, Any],
-        taskdef: TaskDef,
-    ) -> str:
-        """``granted`` / ``denied`` / ``pending`` (creating the request)."""
+    ) -> Event | None:
+        """``ACTIVATE`` or ``DENY`` for an eligible task as its
+        authorization decides; ``None`` while that is pending (the
+        request is created on first sight)."""
+        if not taskdef.requires_authorization:
+            return Event.ACTIVATE
         decisions = self.db.select(
             "WFAuthorization",
-            EQ("wftask_id", task_row["wftask_id"]),
+            AND(
+                EQ("workflow_id", workflow["workflow_id"]),
+                EQ("wftask_id", task_row["wftask_id"]),
+            ),
             order_by="auth_id",
         )
         live = [d for d in decisions if d["status"] != "cancelled"]
         if live:
-            return live[-1]["status"]
+            return {"granted": Event.ACTIVATE, "denied": Event.DENY}.get(
+                live[-1]["status"]
+            )
         authorizer = self._choose_authorizer(taskdef)
         request = self.db.insert(
             "WFAuthorization",
@@ -442,7 +385,7 @@ class WorkflowBean:
                 "workflow_id": workflow["workflow_id"],
                 "wftask_id": task_row["wftask_id"],
                 "kind": "final"
-                if self._is_final(workflow, taskdef)
+                if taskdef.name in self._graph(workflow["pattern_id"]).final
                 else "start",
                 "status": "pending",
                 "agent_id": authorizer["agent_id"] if authorizer else None,
@@ -463,7 +406,7 @@ class WorkflowBean:
             taskdef.name,
             request["kind"],
         )
-        return "pending"
+        return None
 
     def _choose_authorizer(self, taskdef: TaskDef) -> dict | None:
         """A human agent for the task's type, else any human agent."""
@@ -473,10 +416,6 @@ class WorkflowBean:
                     return agent
         humans = self.db.select("Agent", EQ("kind", "human"), order_by="agent_id")
         return humans[0] if humans else None
-
-    def _is_final(self, workflow: dict[str, Any], taskdef: TaskDef) -> bool:
-        pattern = self._pattern(workflow["pattern_id"])
-        return taskdef.name in pattern.final_tasks()
 
     @_synchronized
     def respond_authorization(
@@ -554,20 +493,6 @@ class WorkflowBean:
         self.check_workflow(workflow["parent_workflow_id"])
 
     # -- instances ---------------------------------------------------------
-
-    def _spawn_instances(
-        self,
-        workflow: dict[str, Any],
-        task_row: dict[str, Any],
-        taskdef: TaskDef,
-        count: int,
-    ) -> list[dict[str, Any]]:
-        experiments = []
-        for __ in range(count):
-            experiments.append(
-                self._create_and_delegate(workflow, task_row, taskdef)
-            )
-        return experiments
 
     def _create_and_delegate(
         self,
@@ -759,47 +684,20 @@ class WorkflowBean:
             self._after_instance_decided(self.db.get("Experiment", experiment_id))
 
     def _after_instance_decided(self, experiment: dict[str, Any]) -> None:
+        """Settle the instance's task first, then re-check its workflow
+        (a task of a finished workflow still completes)."""
         task_row = self.db.get("WFTask", experiment["wftask_id"])
         workflow = self.db.get("Workflow", experiment["workflow_id"])
         if task_row is None or workflow is None:  # pragma: no cover
             return
-        taskdef = self._pattern(workflow["pattern_id"]).task(
-            self._task_name(task_row)
-        )
-        self._refresh_active(workflow, task_row, taskdef)
+        if task_row["state"] == TaskState.ACTIVE:
+            taskdef = self._graph(workflow["pattern_id"]).pattern.task(
+                self._task_name(task_row)
+            )
+            event = settle(taskdef, self._current_instances(task_row["wftask_id"]))
+            if event is not None:
+                self._apply_task_event(task_row, event)
         self.check_workflow(workflow["workflow_id"])
-
-    def _refresh_active(
-        self,
-        workflow: dict[str, Any],
-        task_row: dict[str, Any],
-        taskdef: TaskDef,
-    ) -> bool:
-        """Complete/abort an active task once all instances are decided."""
-        if task_row["state"] != TaskState.ACTIVE.value:
-            return False
-        if taskdef.is_subworkflow:
-            return False  # decided via _notify_parent
-        instances = self._current_instances(task_row["wftask_id"])
-        if not instances:
-            return False
-        undecided = [
-            row
-            for row in instances
-            if row["wf_state"]
-            not in (InstanceState.COMPLETED.value, InstanceState.ABORTED.value)
-        ]
-        if undecided:
-            return False
-        completed = [
-            row
-            for row in instances
-            if row["wf_state"] == InstanceState.COMPLETED.value
-        ]
-        self._apply_task_event(
-            task_row, Event.COMPLETE if completed else Event.ABORT
-        )
-        return True
 
     @_synchronized
     def cancel_workflow(self, workflow_id: int, by: str = "") -> None:
@@ -873,14 +771,14 @@ class WorkflowBean:
         semantics with one fewer transient state.
         """
         workflow, task_row, __ = self._resolve_task(workflow_id, task_name)
-        pattern = self._pattern(workflow["pattern_id"])
+        graph = self._graph(workflow["pattern_id"])
         to_restart = [task_name]
         if cascade:
             seen = {task_name}
             frontier = [task_name]
             while frontier:
                 current = frontier.pop()
-                for downstream in pattern.control_targets(current):
+                for downstream in graph.targets[current]:
                     if downstream not in seen:
                         seen.add(downstream)
                         frontier.append(downstream)
@@ -935,6 +833,7 @@ class WorkflowBean:
         self.db.update(
             "WFAuthorization",
             AND(
+                EQ("workflow_id", workflow["workflow_id"]),
                 EQ("wftask_id", task_row["wftask_id"]),
                 IN("status", ["pending", "granted", "denied"]),
             ),
@@ -981,18 +880,18 @@ class WorkflowBean:
         source tasks".
         """
         workflow, __, taskdef = self._resolve_task(workflow_id, task_name)
-        pattern = self._pattern(workflow["pattern_id"])
+        graph = self._graph(workflow["pattern_id"])
         task_rows = {
             self._task_name(row): row for row in self._task_rows(workflow_id)
         }
         inputs: list[dict[str, Any]] = []
         covered_types: set[str] = set()
-        for transition in pattern.incoming(task_name):
+        for transition in graph.incoming[task_name]:
             if not transition.is_data:
                 continue
             covered_types.add(transition.sample_type)
             source_row = task_rows[transition.source]
-            source_def = pattern.task(transition.source)
+            source_def = graph.pattern.task(transition.source)
             for experiment in self._successful_experiments(
                 workflow, source_row, source_def
             ):
@@ -1015,14 +914,13 @@ class WorkflowBean:
                 inputs.extend(self._stock_samples(sample_type))
         # Inputs reachable through the parent's sub-workflow task.
         if workflow["parent_workflow_id"] is not None and (
-            task_name in pattern.initial_tasks()
+            task_name in graph.initial
         ):
             parent_task = self.db.get("WFTask", workflow["parent_wftask_id"])
             parent_workflow = self.db.get(
                 "Workflow", workflow["parent_workflow_id"]
             )
             if parent_task is not None and parent_workflow is not None:
-                parent_pattern = self._pattern(parent_workflow["pattern_id"])
                 inputs.extend(
                     self.collect_available_inputs(
                         parent_workflow["workflow_id"],
@@ -1057,13 +955,13 @@ class WorkflowBean:
         child = self.db.get("Workflow", child_id)
         if child is None:
             return []
-        child_pattern = self._pattern(child["pattern_id"])
+        child_graph = self._graph(child["pattern_id"])
         child_tasks = {
             self._task_name(row): row for row in self._task_rows(child_id)
         }
         experiments: list[dict[str, Any]] = []
-        for final_name in child_pattern.final_tasks():
-            final_def = child_pattern.task(final_name)
+        for final_name in child_graph.final:
+            final_def = child_graph.pattern.task(final_name)
             experiments.extend(
                 self._successful_experiments(
                     child, child_tasks[final_name], final_def
@@ -1090,18 +988,37 @@ class WorkflowBean:
         return samples
 
     def _stock_samples(self, sample_type: str) -> list[dict[str, Any]]:
-        """Samples of ``sample_type`` that no experiment produced."""
-        produced: set[int] = set()
-        for io_row in self.db.select("ExperimentIO"):
-            etio = self.db.get("ExperimentTypeIO", io_row["etio_id"])
-            if etio is not None and etio["direction"] == "output":
-                produced.add(io_row["sample_id"])
+        """Samples of ``sample_type`` that no experiment produced.
+
+        A produced sample is linked to its experiment through an
+        ``ExperimentTypeIO`` output row of its own sample type (see
+        :meth:`_link_io`), so the produced ones are found through the
+        ``ExperimentIO(etio_id)`` index, and only for a type that some
+        experiment type outputs.  The cost follows the samples of the
+        requested type, not the lab's whole history of experiments.
+        """
+        outputs = [
+            row["etio_id"]
+            for row in self.db.select(
+                "ExperimentTypeIO",
+                AND(EQ("sample_type", sample_type), EQ("direction", "output")),
+            )
+        ]
+        produced = {
+            row["sample_id"]
+            for row in (
+                self.db.select("ExperimentIO", IN("etio_id", outputs))
+                if outputs
+                else ()
+            )
+        }
         stock = []
         for sample in self.db.select("Sample", EQ("type_name", sample_type)):
-            if sample["sample_id"] not in produced:
-                merged = self._merged_sample(sample["sample_id"])
-                if merged is not None:
-                    stock.append(merged)
+            if sample["sample_id"] in produced:
+                continue
+            merged = self._merged_sample(sample["sample_id"])
+            if merged is not None:
+                stock.append(merged)
         return stock
 
     def _create_output_sample(
@@ -1119,7 +1036,7 @@ class WorkflowBean:
                 "description": output.get("description"),
             },
         )
-        type_table = self._sample_type_table(sample_type)
+        type_table = self.specs.sample_type_table(sample_type)
         if type_table is not None:
             values = dict(output.get("values", {}))
             values["sample_id"] = sample["sample_id"]
@@ -1192,17 +1109,27 @@ class WorkflowBean:
         workflow: dict[str, Any],
         source_row: dict[str, Any],
         source_def: TaskDef,
+        instances: list[dict[str, Any]],
     ) -> dict[str, Any]:
         """The namespace a transition condition sees.
 
         ``experiment.*`` — the merged row of the latest successful source
         instance; ``output.*`` — the merged attributes of that instance's
         output samples (later outputs win on clashes); ``task.*`` —
-        instance counts of the source task.
+        instance counts of the source task, whose current instances are
+        ``instances``.
         """
-        experiments = self._successful_experiments(
-            workflow, source_row, source_def
-        )
+        if source_def.is_subworkflow:
+            experiments = self._successful_experiments(
+                workflow, source_row, source_def
+            )
+            instances = experiments
+        else:
+            experiments = [
+                row
+                for row in instances
+                if row["wf_state"] == InstanceState.COMPLETED
+            ]
         latest: dict[str, Any] = {}
         outputs: dict[str, Any] = {}
         if experiments:
@@ -1210,27 +1137,14 @@ class WorkflowBean:
             latest = self._merged_experiment(latest_row["experiment_id"]) or {}
             for sample in self._output_samples(latest_row["experiment_id"]):
                 outputs.update(sample)
-        if source_def.is_subworkflow:
-            instances = experiments
-            completed = len(experiments)
-            aborted = 0
-        else:
-            instances = self._current_instances(source_row["wftask_id"])
-            completed = sum(
-                1
-                for row in instances
-                if row["wf_state"] == InstanceState.COMPLETED.value
-            )
-            aborted = sum(
-                1
-                for row in instances
-                if row["wf_state"] == InstanceState.ABORTED.value
-            )
+        aborted = sum(
+            1 for row in instances if row["wf_state"] == InstanceState.ABORTED
+        )
         return {
             "experiment": latest,
             "output": outputs,
             "task": {
-                "completed_instances": completed,
+                "completed_instances": len(experiments),
                 "aborted_instances": aborted,
                 "total_instances": len(instances),
             },
@@ -1310,67 +1224,27 @@ class WorkflowBean:
         ]
 
     # ------------------------------------------------------------------
-    # Workflow status
-    # ------------------------------------------------------------------
-
-    def _update_workflow_status(
-        self, workflow_id: int, pattern: WorkflowPattern
-    ) -> None:
-        workflow = self.db.get("Workflow", workflow_id)
-        if workflow is None or workflow["status"] != "running":
-            return
-        final_names = pattern.final_tasks()
-        task_rows = {
-            self._task_name(row): row for row in self._task_rows(workflow_id)
-        }
-        final_states = [task_rows[name]["state"] for name in final_names]
-        decided = all(
-            state
-            in (
-                TaskState.COMPLETED.value,
-                TaskState.ABORTED.value,
-                TaskState.UNREACHABLE.value,
-            )
-            for state in final_states
-        )
-        if not decided:
-            return
-        if any(state == TaskState.COMPLETED.value for state in final_states):
-            new_status = "completed"
-        else:
-            new_status = "aborted"
-        self.db.update(
-            "Workflow", EQ("workflow_id", workflow_id), {"status": new_status}
-        )
-        self.events.emit(
-            "workflow.finished", workflow_id=workflow_id, status=new_status
-        )
-        workflow = self.db.get("Workflow", workflow_id)
-        self._notify_parent(workflow)
-
-    # ------------------------------------------------------------------
     # Shared plumbing
     # ------------------------------------------------------------------
 
-    def _pattern(self, pattern_id: int) -> WorkflowPattern:
-        pattern = self.specs.pattern_by_id(pattern_id)
-        if pattern is None:
+    def _graph(self, pattern_id: int) -> PatternGraph:
+        graph = self.specs.graph(pattern_id)
+        if graph is None:
             raise SpecificationError(f"no pattern with id {pattern_id}")
-        return pattern
+        return graph
 
     def _task_rows(self, workflow_id: int) -> list[dict[str, Any]]:
         return self.db.select(
             "WFTask", EQ("workflow_id", workflow_id), order_by="wftask_id"
         )
 
-    def _wfp_task(self, wfp_task_id: int) -> dict[str, Any]:
-        row = self.specs.wfp_task(wfp_task_id)
-        if row is None:
-            raise SpecificationError(f"no WFPTask with id {wfp_task_id}")
-        return row
-
     def _task_name(self, task_row: dict[str, Any]) -> str:
-        return self._wfp_task(task_row["wfp_task_id"])["name"]
+        row = self.specs.wfp_task(task_row["wfp_task_id"])
+        if row is None:
+            raise SpecificationError(
+                f"no WFPTask with id {task_row['wfp_task_id']}"
+            )
+        return row["name"]
 
     def _resolve_task(
         self, workflow_id: int, task_name: str
@@ -1378,8 +1252,7 @@ class WorkflowBean:
         workflow = self.db.get("Workflow", workflow_id)
         if workflow is None:
             raise InstanceError(f"no workflow with id {workflow_id}")
-        pattern = self._pattern(workflow["pattern_id"])
-        taskdef = pattern.task(task_name)
+        taskdef = self._graph(workflow["pattern_id"]).pattern.task(task_name)
         for task_row in self._task_rows(workflow_id):
             if self._task_name(task_row) == task_name:
                 return workflow, task_row, taskdef
@@ -1392,13 +1265,6 @@ class WorkflowBean:
             "Experiment",
             AND(EQ("wftask_id", wftask_id), EQ("wf_current", True)),
             order_by="experiment_id",
-        )
-
-    def _count_instances(self, wftask_id: int, state: str) -> int:
-        return sum(
-            1
-            for row in self._current_instances(wftask_id)
-            if row["wf_state"] == state
         )
 
     def _require_instance(self, experiment_id: int) -> dict[str, Any]:
@@ -1416,15 +1282,14 @@ class WorkflowBean:
             )
         return experiment
 
-    def _apply_task_event(
-        self, task_row: dict[str, Any], event: Event
-    ) -> dict[str, Any]:
-        machine = task_machine(task_row["state"])
-        new_state = machine.apply(event)
+    def _apply_task_event(self, task_row: dict[str, Any], event: Event) -> str:
+        """Apply one Fig. 4 transition to a task row; returns the new state."""
+        new_state = task_machine(task_row["state"]).apply(event)
+        state_value = str(
+            new_state.value if hasattr(new_state, "value") else new_state
+        )
         self.db.update(
-            "WFTask",
-            EQ("wftask_id", task_row["wftask_id"]),
-            {"state": new_state.value if hasattr(new_state, "value") else new_state},
+            "WFTask", EQ("wftask_id", task_row["wftask_id"]), {"state": state_value}
         )
         self.events.emit(
             "task.state",
@@ -1432,11 +1297,9 @@ class WorkflowBean:
             wftask_id=task_row["wftask_id"],
             task=self._task_name(task_row),
             event=str(event.value),
-            state=str(
-                new_state.value if hasattr(new_state, "value") else new_state
-            ),
+            state=state_value,
         )
-        return self.db.get("WFTask", task_row["wftask_id"])
+        return state_value
 
     def _apply_instance_event(
         self, experiment: dict[str, Any], event: Event
@@ -1467,9 +1330,6 @@ class WorkflowBean:
             return None
         return self.specs.type_table(experiment_type)
 
-    def _sample_type_table(self, sample_type: str) -> str | None:
-        return self.specs.sample_type_table(sample_type)
-
     def _merged_experiment(self, experiment_id: int) -> dict[str, Any] | None:
         experiment = self.db.get("Experiment", experiment_id)
         if experiment is None:
@@ -1488,7 +1348,7 @@ class WorkflowBean:
         sample = self.db.get("Sample", sample_id)
         if sample is None:
             return None
-        type_table = self._sample_type_table(sample["type_name"])
+        type_table = self.specs.sample_type_table(sample["type_name"])
         if type_table is None:
             return sample
         child = self.db.get(type_table, sample_id)

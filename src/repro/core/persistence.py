@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.evaluator import PatternGraph
 from repro.core.spec import AgentSpec, TaskDef, TransitionDef, WorkflowPattern
 from repro.errors import SpecificationError, UnknownAgentError
 from repro.minidb.engine import Database
@@ -179,8 +180,8 @@ class PatternStore:
 
     The workflow engine resolves the same specification rows on every
     request: the ``WorkflowPattern`` row and ``WFPTask`` list when
-    starting an instance, compiled :class:`WorkflowPattern` objects and
-    individual task rows inside every ``check_workflow`` pass, and the
+    starting an instance, each compiled pattern's :class:`PatternGraph`
+    and individual task rows inside every ``check_workflow`` pass, and the
     ``ExperimentType`` / ``SampleType`` table mappings when creating
     instances.  All of that is definition data that changes only when
     someone edits a pattern — so it is cached here and invalidated
@@ -203,7 +204,7 @@ class PatternStore:
         self.hits = 0
         self.misses = 0
         self._pattern_rows: dict[str, dict[str, Any]] = {}
-        self._patterns_by_id: dict[int, WorkflowPattern] = {}
+        self._graphs: dict[int, PatternGraph] = {}
         self._task_rows: dict[int, list[dict[str, Any]]] = {}
         self._tasks_by_id: dict[int, dict[str, Any]] = {}
         self._type_tables: dict[str, str] = {}
@@ -215,7 +216,7 @@ class PatternStore:
     def _on_write(self, table: str) -> None:
         if table in _PATTERN_TABLES:
             self._pattern_rows.clear()
-            self._patterns_by_id.clear()
+            self._graphs.clear()
             self._task_rows.clear()
             self._tasks_by_id.clear()
         elif table == "ExperimentType":
@@ -226,7 +227,7 @@ class PatternStore:
     def invalidate(self) -> None:
         """Drop everything (DDL changes, test isolation)."""
         self._pattern_rows.clear()
-        self._patterns_by_id.clear()
+        self._graphs.clear()
         self._task_rows.clear()
         self._tasks_by_id.clear()
         self._type_tables.clear()
@@ -255,10 +256,11 @@ class PatternStore:
             self._pattern_rows[name] = dict(row)
         return row
 
-    def pattern_by_id(self, pattern_id: int) -> WorkflowPattern | None:
-        """The compiled pattern for ``pattern_id`` (or ``None``)."""
+    def graph(self, pattern_id: int) -> PatternGraph | None:
+        """The compiled pattern for ``pattern_id`` as its
+        :class:`PatternGraph` (or ``None``)."""
         if self.enabled:
-            cached = self._patterns_by_id.get(pattern_id)
+            cached = self._graphs.get(pattern_id)
             if cached is not None:
                 self.hits += 1
                 return cached
@@ -266,10 +268,10 @@ class PatternStore:
         row = self.db.get("WorkflowPattern", pattern_id)
         if row is None:
             return None
-        pattern = _load_pattern_row(self.db, row)
+        graph = PatternGraph(_load_pattern_row(self.db, row))
         if self.enabled:
-            self._patterns_by_id[pattern_id] = pattern
-        return pattern
+            self._graphs[pattern_id] = graph
+        return graph
 
     def task_rows(self, pattern_id: int) -> list[dict[str, Any]]:
         """The pattern's ``WFPTask`` rows, ordered by ``wfp_task_id``."""

@@ -165,14 +165,6 @@ class WorkflowPattern:
                 seen.append(transition.source)
         return seen
 
-    def control_targets(self, task: str) -> list[str]:
-        """Distinct target tasks reachable from ``task`` in one step."""
-        seen: list[str] = []
-        for transition in self.outgoing(task):
-            if transition.target not in seen:
-                seen.append(transition.target)
-        return seen
-
     def initial_tasks(self) -> list[str]:
         """Tasks with no incoming transitions (workflow entry points)."""
         targets = {t.target for t in self.transitions}
@@ -182,52 +174,6 @@ class WorkflowPattern:
         """Tasks with no outgoing transitions (workflow exits)."""
         sources = {t.source for t in self.transitions}
         return [name for name in self.tasks if name not in sources]
-
-    def can_reach(self, origin: str, destination: str) -> bool:
-        """Whether ``destination`` is reachable from ``origin`` along
-        control flow."""
-        if origin == destination:
-            return True
-        seen = {origin}
-        frontier = [origin]
-        while frontier:
-            current = frontier.pop()
-            for target in self.control_targets(current):
-                if target == destination:
-                    return True
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-        return False
-
-    def depth_map(self) -> dict[str, int]:
-        """Shortest control-flow distance of each task from any initial
-        task (unreachable tasks get a large sentinel — validation rejects
-        them anyway)."""
-        depths = {name: len(self.tasks) + 1 for name in self.tasks}
-        frontier = [(name, 0) for name in self.initial_tasks()]
-        for name, __ in frontier:
-            depths[name] = 0
-        while frontier:
-            current, depth = frontier.pop(0)
-            for target in self.control_targets(current):
-                if depth + 1 < depths[target]:
-                    depths[target] = depth + 1
-                    frontier.append((target, depth + 1))
-        return depths
-
-    def is_back_edge(self, source: str, target: str) -> bool:
-        """Whether the transition ``source``→``target`` closes a loop.
-
-        An edge is a *back-edge* when it participates in a cycle and its
-        source lies at the same or greater BFS depth than its target —
-        i.e. the edge points "upstream".  Back-edges model iterative
-        loops (§4.1) and must enable, never block, their target's
-        eligibility."""
-        if not self.can_reach(target, source):
-            return False
-        depths = self.depth_map()
-        return depths[source] >= depths[target]
 
     def data_transitions_between(
         self, source: str, target: str

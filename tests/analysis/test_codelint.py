@@ -131,6 +131,36 @@ class TestAuditWriter:
         ).ok
 
 
+class TestFig4RulesHome:
+    def test_planted_rule_copies_flagged(self, lint):
+        report = lint(
+            """
+            class Graph:
+                def is_back_edge(self, source, target):
+                    return False
+
+            def _simulate(graph, order):
+                return set(), set()
+            """
+        )
+        assert codes(report) == ["CL007", "CL007"]
+
+    def test_evaluator_module_and_other_names_exempt(self, lint):
+        assert lint(
+            """
+            def _eligibility_verdict(graph, task):
+                return None
+            """,
+            filename="core/evaluator.py",
+        ).ok
+        assert lint(
+            """
+            def simulate(graph, guard):
+                return set(), set()
+            """
+        ).ok
+
+
 class TestLockDiscipline:
     LOCKED_CLASS = """
         import threading
