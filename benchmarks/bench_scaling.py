@@ -78,7 +78,8 @@ def test_a4_data_change_cost_vs_running_workflows(report, benchmark):
     lab.run_to_completion(workflow["workflow_id"])
     snapshot = lab.app.db.stats.snapshot()
     lab.engine.on_data_change("Sample", {})
-    finished_cost = lab.app.db.stats.snapshot().delta(snapshot).reads
-    assert finished_cost <= 2  # just the running-workflows index lookup
+    delta = lab.app.db.stats.snapshot().delta(snapshot)
+    assert delta.reads <= 2  # just the running-workflows index lookup
+    assert delta.full_scans == 0  # served by the Workflow(status) index
 
     benchmark(lambda: lab.engine.on_data_change("Sample", {}))

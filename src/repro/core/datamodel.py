@@ -223,6 +223,8 @@ def install_workflow_datamodel(db: Database) -> list[str]:
     db.create_index("ExpType2Agent", ["experiment_type"])
     db.create_index("WFAuthorization", ["workflow_id"])
     db.create_index("WFAuthorization", ["status"])
+    # Every postprocessed insert lists the running workflows.
+    db.create_index("Workflow", ["status"])
 
     # The single modification to the original data model.
     modified = extend_experiment_table(db)

@@ -43,7 +43,7 @@ from typing import Any, Callable
 _sequence_of = attrgetter("sequence")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One observable occurrence."""
 

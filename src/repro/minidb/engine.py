@@ -24,6 +24,7 @@ Usage::
 from __future__ import annotations
 
 import contextlib
+import gc
 import os
 import threading
 import time
@@ -60,6 +61,18 @@ _MISSING = object()
 #: Rows per ``txn`` record in a checkpoint snapshot — keeps individual
 #: checkpoint frames bounded without changing the replayed state.
 _CHECKPOINT_BATCH_ROWS = 500
+
+#: Log size from which recovery first runs a full garbage collection.
+#: Replaying a large log allocates a whole store at once, and a process
+#: that reopens a store often still holds a closed incarnation as
+#: cyclic garbage the collector has not reached yet; reclaiming it first
+#: lets the replayed rows reuse that memory instead of sitting next to
+#: it.  Small logs skip the collection, whose cost grows with the heap.
+_COLLECT_BEFORE_REPLAY_BYTES = 1 << 20
+
+#: Longest string value that WAL replay shares between rows: statuses,
+#: names, trace ids and the audit trail's repeated detail texts.
+_SHARED_STRING_MAX = 128
 
 
 class _ReadView:
@@ -665,9 +678,24 @@ class Database:
             for entry, rowid in txn.touched:
                 entry.heap.commit(rowid, txn, version)
             self._mvcc.publish(version, txn.deferred)
+            self._flatten_fresh(txn.touched, version)
             self._mvcc.collect()
         if txn.redo:
             self._log({"type": "txn", "ops": txn.redo})
+
+    def _flatten_fresh(
+        self, touched: Sequence[tuple[TableEntry, int]], version: int
+    ) -> None:
+        """Store the rows first inserted at ``version`` as flat images.
+
+        Safe once no reader is pinned below ``version``: every pin, now
+        or later, sees the row, so its stamp would never be read.  Under
+        a concurrent older pin the rows keep their stamped chains.
+        """
+        if self._mvcc.horizon() < version:
+            return
+        for entry, rowid in touched:
+            entry.heap.flatten(rowid, version)
 
     def _rollback_locked(self) -> None:
         for undo in self._txn.take_rollback():
@@ -754,6 +782,7 @@ class Database:
             self._apply_undo(UndoInsert(table, rowid))
             raise
         self._mvcc.publish(version + 1)
+        self._flatten_fresh(((entry, rowid),), version + 1)
         self._mvcc.collect()
         self._log(
             {
@@ -1503,11 +1532,23 @@ class Database:
         }
 
     def _unwire_row(self, entry: TableEntry, row: dict[str, Any]) -> dict[str, Any]:
+        """A replayed row, as lean as one the live insert path built.
+
+        Keys are the schema's own ``Column.name`` objects, not the
+        strings ``json`` decoded for this record, and each short string
+        value is shared through the replay-scoped memo: a recovered row
+        then costs no more memory than a live one.
+        """
         schema = entry.schema
-        return {
-            name: from_wire(value, schema.column(name).type)
-            for name, value in row.items()
-        }
+        memo = self._replay_strings
+        unwired = {}
+        for name, value in row.items():
+            column = schema.column(name)
+            value = from_wire(value, column.type)
+            if type(value) is str and len(value) <= _SHARED_STRING_MAX:
+                value = memo.setdefault(value, value)
+            unwired[column.name] = value
+        return unwired
 
     # ------------------------------------------------------------------
     # Durability
@@ -1572,6 +1613,9 @@ class Database:
             self._ckpt_lock.release()
 
     _recovering = False
+    #: Replay-scoped string memo (see :meth:`_unwire_row`); ``None``
+    #: outside :meth:`_recover`, so it pins nothing once replay ends.
+    _replay_strings: dict[str, str] | None = None
 
     def _recover(self) -> None:
         """Replay checkpoint + tail to rebuild state after (re)opening.
@@ -1586,14 +1630,18 @@ class Database:
             {"type": "autoincrement", "table": "...", "next": 8}
             {"type": "txn", "ops": [{"op": "insert"|"update"|"delete", ...}]}
 
-        Recovery runs before any reader exists, so replay writes flat,
-        already-committed chains (version = the current MVCC version)
-        and maintains indexes exactly — no tokens, no deferred GC.
-        Reader pins taken later are always at or above the version the
-        replayed rows carry, so everything replayed is visible.
+        Recovery runs before any reader exists, so replay stores each
+        row as a flat image (a bare row dict, see
+        :mod:`repro.minidb.table`) and maintains indexes exactly — no
+        tokens, no version stamps, no deferred GC.  Reader pins taken
+        later are always at or above the replayed version, so
+        everything replayed is visible to all of them.
         """
         assert self._wal is not None
+        if self._wal.size_bytes() >= _COLLECT_BEFORE_REPLAY_BYTES:
+            gc.collect()
         self._recovering = True
+        self._replay_strings = {}
         t0 = time.perf_counter()
         replayed = 0
         try:
@@ -1648,6 +1696,7 @@ class Database:
                     raise RecoveryError(f"unknown WAL record type {kind!r}")
         finally:
             self._recovering = False
+            self._replay_strings = None
         replay_shape = dict(self._wal.last_replay)
         self.last_recovery = {
             "elapsed_ms": (time.perf_counter() - t0) * 1000.0,
@@ -1674,7 +1723,8 @@ class Database:
         version = self._mvcc.version
         if op["op"] == "insert":
             row = self._unwire_row(entry, op["row"])
-            self._store(entry, row, token=None, version=version)
+            rowid = self._store(entry, row, token=None, version=version)
+            entry.heap.flatten(rowid, version)
             if schema.autoincrement is not None:
                 value = row.get(schema.autoincrement)
                 if value is not None and value >= entry.autoincrement_next:
@@ -1693,6 +1743,7 @@ class Database:
             for ordered in entry.ordered_indexes.values():
                 ordered.remove(rowid, old_row)
             entry.heap.replace_committed(rowid, new_row, version)
+            entry.heap.flatten(rowid, version)
             entry.pk_index.add(rowid, new_row)
             for index in entry.hash_indexes.values():
                 index.add(rowid, new_row)

@@ -42,23 +42,37 @@ class HashIndex:
     """Maps key tuples to the rowids holding them.
 
     A key held by one row maps to the bare rowid (85–99% of keys in the
-    lab workloads); only a key shared by several rows gets a set.
+    lab workloads); only a key shared by several rows gets a set.  A
+    one-column index stores each key as the bare value, not a 1-tuple
+    (48 bytes per distinct key saved); callers still pass key tuples.
     """
 
     def __init__(self, columns: tuple[str, ...], unique: bool = False) -> None:
         self.columns = columns
         self.unique = unique
         self.created_epoch = 0
-        self._buckets: dict[tuple[Any, ...], int | set[int]] = {}
+        self._single = columns[0] if len(columns) == 1 else None
+        self._buckets: dict[Any, int | set[int]] = {}
 
     def key_of(self, row: dict[str, Any]) -> tuple[Any, ...]:
         """Extract this index's key tuple from a row."""
         return tuple(row.get(column) for column in self.columns)
 
+    def _stored(self, key: tuple[Any, ...]) -> Any:
+        """The bucket key under which ``key`` is stored."""
+        return key if self._single is None else key[0]
+
+    def _stored_of(self, row: dict[str, Any]) -> Any:
+        """The bucket key of ``row``; ``None`` when any part is NULL."""
+        if self._single is not None:
+            return row.get(self._single)
+        key = self.key_of(row)
+        return None if None in key else key
+
     def add(self, rowid: int, row: dict[str, Any]) -> None:
         """Register ``row`` (stored at ``rowid``) in the index."""
-        key = self.key_of(row)
-        if None in key:
+        key = self._stored_of(row)
+        if key is None:
             return  # never returned by a lookup
         buckets = self._buckets
         bucket = buckets.get(key)
@@ -72,7 +86,7 @@ class HashIndex:
 
     def remove(self, rowid: int, row: dict[str, Any]) -> None:
         """Unregister ``row`` from the index."""
-        key = self.key_of(row)
+        key = self._stored_of(row)
         buckets = self._buckets
         bucket = buckets.get(key)
         if bucket is None:
@@ -89,7 +103,7 @@ class HashIndex:
 
     def lookup(self, key: tuple[Any, ...]) -> set[int]:
         """Rowids whose key equals ``key`` (empty for NULL-bearing keys)."""
-        bucket = self._buckets.get(key)
+        bucket = self._buckets.get(self._stored(key))
         if bucket is None:
             return set()
         if type(bucket) is int:
@@ -98,11 +112,11 @@ class HashIndex:
 
     def contains_key(self, key: tuple[Any, ...]) -> bool:
         """Whether any row carries ``key`` (NULL keys never match)."""
-        return key in self._buckets
+        return self._stored(key) in self._buckets
 
     def count_key(self, key: tuple[Any, ...]) -> int:
         """Number of rows carrying ``key``."""
-        bucket = self._buckets.get(key)
+        bucket = self._buckets.get(self._stored(key))
         if bucket is None:
             return 0
         if type(bucket) is int:

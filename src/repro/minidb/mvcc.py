@@ -33,17 +33,20 @@ __all__ = ["SnapshotManager", "visible_row"]
 
 
 def visible_row(
-    chain: tuple | None, version: int, token: Any = None
+    chain: tuple | dict[str, Any] | None, version: int, token: Any = None
 ) -> dict[str, Any] | None:
     """Resolve a version chain to the row visible at ``(version, token)``.
 
     ``chain`` is the newest-first linked tuple ``(version, token, row,
-    older)`` maintained by :class:`repro.minidb.table.Heap`.  Returns the
-    row dict, or ``None`` when the row does not exist at that version
-    (never created yet, or tombstoned).
+    older)`` maintained by :class:`repro.minidb.table.Heap`, possibly
+    ending in a flat (bare dict) image that every version sees.  Returns
+    the row dict, or ``None`` when the row does not exist at that
+    version (never created yet, or tombstoned).
     """
     entry = chain
     while entry is not None:
+        if type(entry) is dict:
+            return entry
         entry_version, entry_token, row, older = entry
         if entry_token is not None:
             if token is not None and entry_token is token:

@@ -21,6 +21,7 @@ explicitly (`start`) and never by default.
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 from typing import Any
@@ -94,7 +95,17 @@ class StackSampler:
     def sample_once(self, exclude: set[int] | None = None) -> int:
         """Take one snapshot of every live thread; returns threads seen."""
         exclude = exclude or set()
-        frames = sys._current_frames()
+        # CPython 3.11 holds its thread-list lock across this call; a
+        # collection it triggers can run a finalizer that lets a thread
+        # being started block on that lock for good (CPython issue
+        # 106883).  No collection may start inside it.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            frames = sys._current_frames()
+        finally:
+            if collecting:
+                gc.enable()
         seen = 0
         collapsed: list[str] = []
         for ident, frame in frames.items():

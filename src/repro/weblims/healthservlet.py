@@ -2,9 +2,10 @@
 
 Serves :meth:`repro.obs.hub.ObservabilityHub.health_report` as JSON:
 per-component status for the container, database (with WAL info), the
-workflow engine, the message broker (queue depths + journal backlog),
-the agent manager and every registered agent (queue depth, last-poll
-age), and the email transport.
+workflow engine, the lab's history (running workflows, audit rows), the
+message broker (queue depths + journal backlog), the agent manager and
+every registered agent (queue depth, last-poll age), and the email
+transport.
 
 Two probe styles:
 
