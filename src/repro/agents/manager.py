@@ -502,41 +502,54 @@ class AgentManager:
         ).observe(span.duration_ms or 0.0)
 
     def _apply(self, message) -> None:
+        """Apply one message as one engine call.
+
+        Its ``agent.ack`` audit row commits in the call's last
+        transaction — after any ``agent.dispatch`` rows of the sends the
+        call queued — instead of as a commit of its own.
+        """
         assert self.engine is not None
         kind = message.headers.get("kind")
-        if kind == KIND_STARTED:
-            experiment_id = int(message.headers["experiment_id"])
-            self.engine.instance_started(experiment_id)
-            self.leases.renew(experiment_id)
-        elif kind == KIND_RESULT:
+        if kind == KIND_RESULT:
             result = parse_result_xml(message.body)
-            self.engine.complete_instance(
-                result.experiment_id,
-                success=result.success,
-                outputs=result.outputs,
-                chosen_input_ids=result.chosen_input_ids,
-                result_values=result.result_values or None,
+        with self.engine.call() as unit:
+            if kind == KIND_STARTED:
+                experiment_id = int(message.headers["experiment_id"])
+                self.engine.instance_started(experiment_id)
+                self.leases.renew(experiment_id)
+            elif kind == KIND_RESULT:
+                self.engine.complete_instance(
+                    result.experiment_id,
+                    success=result.success,
+                    outputs=result.outputs,
+                    chosen_input_ids=result.chosen_input_ids,
+                    result_values=result.result_values or None,
+                )
+                self.leases.release(result.experiment_id)
+                self.result_count += 1
+            elif kind == KIND_AUTH_RESPONSE:
+                self.engine.respond_authorization(
+                    int(message.headers["auth_id"]),
+                    message.headers.get("approve") in (True, "true", "True"),
+                    decided_by=message.headers.get("agent", ""),
+                )
+            else:
+                raise AgentFormatError(f"unknown inbound message kind {kind!r}")
+            # Under the caller's span, so the ack row carries the
+            # message's trace.
+            unit.on_last_commit(
+                lambda: self.engine.events.emit(
+                    "agent.ack",
+                    actor=str(message.headers.get("agent", "")) or None,
+                    experiment_id=self._maybe_int(
+                        message.headers.get("experiment_id")
+                    ),
+                    workflow_id=self._maybe_int(message.headers.get("workflow_id")),
+                    task=message.headers.get("task"),
+                    message_kind=kind,
+                    message_id=message.message_id,
+                )
             )
-            self.leases.release(result.experiment_id)
-            self.result_count += 1
-        elif kind == KIND_AUTH_RESPONSE:
-            self.engine.respond_authorization(
-                int(message.headers["auth_id"]),
-                message.headers.get("approve") in (True, "true", "True"),
-                decided_by=message.headers.get("agent", ""),
-            )
-        else:
-            raise AgentFormatError(f"unknown inbound message kind {kind!r}")
-        # Under the caller's span, so the ack row carries the message's trace.
-        self.engine.events.emit(
-            "agent.ack",
-            actor=str(message.headers.get("agent", "")) or None,
-            experiment_id=self._maybe_int(message.headers.get("experiment_id")),
-            workflow_id=self._maybe_int(message.headers.get("workflow_id")),
-            task=message.headers.get("task"),
-            message_kind=kind,
-            message_id=message.message_id,
-        )
 
     # ------------------------------------------------------------------
     # Helpers

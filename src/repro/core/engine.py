@@ -44,9 +44,9 @@ Design decisions, mapped to the paper:
   and at least one completed.
 
 * **One commit per engine call**: every public method is one unit of
-  work (see :func:`_synchronized`).  Its state transitions and the audit
-  rows of the events it emits commit together in one transaction, or —
-  if it raises — not at all; the events stay in the in-memory
+  work (see :meth:`WorkflowBean.call`).  Its state transitions and the
+  audit rows of the events it emits commit together in one transaction,
+  or — if it raises — not at all; the events stay in the in-memory
   :class:`EventLog`, so the durable trail records only what committed.
   Broker messages (task dispatch, abort, authorization request) are
   queued during the call and sent only once its commit is durable, so
@@ -68,7 +68,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import threading
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from repro.core.datamodel import EXPERIMENT_EXTENSION_COLUMNS
 from repro.core.dispatch import Dispatcher, NullDispatcher
@@ -103,40 +103,41 @@ _Method = TypeVar("_Method", bound=Callable)
 
 
 def _synchronized(method: _Method) -> _Method:
-    """Run a public engine method as one unit of work under the bean lock.
-
-    The original WorkflowBean is a servlet-container bean invoked from
-    concurrent request threads; one re-entrant lock per bean gives the
-    same calls-run-one-at-a-time behaviour (engine methods freely call
-    each other, hence an RLock).
-
-    The outermost call opens one database transaction, runs the method
-    and commits once, so it waits on a single durability barrier.
-    Nested engine calls join it, as does a call from a thread that
-    already owns a transaction (whose owner then commits it).  Broker
-    messages queued through :meth:`WorkflowBean._send` go out after the
-    commit, in call order, inside one second transaction that holds
-    their dispatch audit rows; if the call raises they are dropped with
-    the rollback."""
+    """Run a public engine method as one unit of work (see
+    :meth:`WorkflowBean.call`)."""
 
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
-        with self._lock:
-            if self._outbox is not None:
-                return method(self, *args, **kwargs)
-            self._outbox = outbox = []
-            try:
-                with self._unit():
-                    result = method(self, *args, **kwargs)
-            finally:
-                self._outbox = None
-            if outbox:
-                with self._unit():
-                    for send in outbox:
-                        send()
-            return result
+        with self.call():
+            return method(self, *args, **kwargs)
 
     return wrapper  # type: ignore[return-value]
+
+
+class UnitOfWork:
+    """The open outermost engine call: the broker messages it queued and
+    the work that rides its last transaction."""
+
+    __slots__ = ("sends", "audited", "last_commit")
+
+    def __init__(self) -> None:
+        self.sends: list[Callable[[], None]] = []
+        #: Whether a queued message writes audit rows when it is sent
+        #: (a task dispatch does; an abort or authorization request
+        #: does not).
+        self.audited = False
+        self.last_commit: list[Callable[[], None]] = []
+
+    def on_last_commit(self, hook: Callable[[], None]) -> None:
+        """Run ``hook`` inside the call's last transaction, just before
+        it commits: the deferred-send transaction when a queued message
+        writes audit rows, so the hook's rows follow them; otherwise the
+        call's own unit.  If the call raises, the hook never runs."""
+        self.last_commit.append(hook)
+
+    def _run_last(self) -> None:
+        for hook in self.last_commit:
+            hook()
 
 
 class WorkflowBean:
@@ -160,8 +161,49 @@ class WorkflowBean:
         #: Number of check_workflow evaluations (feeds the cost model).
         self.check_count = 0
         self._lock = threading.RLock()
-        #: Broker messages of the open unit of work; ``None`` outside one.
-        self._outbox: list[Callable[[], None]] | None = None
+        #: The open outermost call; ``None`` outside one.
+        self._call: UnitOfWork | None = None
+
+    @contextlib.contextmanager
+    def call(self) -> Iterator[UnitOfWork]:
+        """One engine call: a unit of work under the bean lock.
+
+        The original WorkflowBean is a servlet-container bean invoked
+        from concurrent request threads; one re-entrant lock per bean
+        gives the same calls-run-one-at-a-time behaviour (engine methods
+        freely call each other, hence an RLock).
+
+        The outermost call opens one database transaction, runs its body
+        and commits once, so it waits on a single durability barrier.
+        Nested calls join it, as does a call from a thread that already
+        owns a transaction (whose owner then commits it).  Broker
+        messages queued through :meth:`_send` go out after the commit,
+        in call order, inside one second transaction that holds their
+        dispatch audit rows; if the call raises they are dropped with
+        the rollback.  A caller that applies several engine methods as
+        one call (the AgentManager, per inbound message) gets the
+        :class:`UnitOfWork` to add work to the last transaction that
+        writes.
+        """
+        with self._lock:
+            unit = self._call
+            if unit is not None:
+                yield unit
+                return
+            self._call = unit = UnitOfWork()
+            try:
+                with self._unit():
+                    yield unit
+                    if not unit.audited:
+                        unit._run_last()
+            finally:
+                self._call = None
+            if unit.sends:
+                with self._unit():
+                    for send in unit.sends:
+                        send()
+                    if unit.audited:
+                        unit._run_last()
 
     def _unit(self) -> contextlib.AbstractContextManager:
         """A transaction for one unit of work, unless this thread owns one."""
@@ -169,10 +211,17 @@ class WorkflowBean:
             return contextlib.nullcontext()
         return self.db.transaction()
 
-    def _send(self, message: Callable[..., None], *args: Any) -> None:
-        """Queue a dispatcher message; it is sent after the unit commits."""
-        assert self._outbox is not None, "messages are sent from engine calls"
-        self._outbox.append(functools.partial(message, *args))
+    def _send(
+        self, message: Callable[..., None], *args: Any, audited: bool = False
+    ) -> None:
+        """Queue a dispatcher message; it is sent after the unit commits.
+
+        ``audited`` marks a message whose send writes audit rows.
+        """
+        unit = self._call
+        assert unit is not None, "messages are sent from engine calls"
+        unit.sends.append(functools.partial(message, *args))
+        unit.audited |= audited
 
     # ------------------------------------------------------------------
     # Workflow lifecycle
@@ -535,6 +584,7 @@ class WorkflowBean:
             self._send(
                 self.dispatcher.dispatch_instance,
                 agent, workflow, taskdef.name, experiment, inputs,
+                audited=True,
             )
         return experiment
 

@@ -28,7 +28,7 @@ import gc
 import os
 import threading
 import time
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import (
     ConstraintError,
@@ -43,7 +43,7 @@ from repro.minidb.catalog import Catalog, TableEntry
 from repro.minidb.index import HashIndex, OrderedIndex
 from repro.minidb.mvcc import SnapshotManager, visible_row
 from repro.minidb.predicates import GE, GT, IN, LE, LT, Predicate
-from repro.minidb.schema import TableSchema
+from repro.minidb.schema import Column, TableSchema
 from repro.minidb.stats import DatabaseStats
 from repro.minidb.transactions import (
     Transaction,
@@ -53,7 +53,7 @@ from repro.minidb.transactions import (
     UndoInsert,
     UndoUpdate,
 )
-from repro.minidb.types import coerce, from_wire, to_wire
+from repro.minidb.types import ColumnType, coerce, from_wire, to_wire
 from repro.seglog import SegmentedLog
 
 _MISSING = object()
@@ -664,27 +664,39 @@ class Database:
     def _commit_locked(self) -> None:
         """Publish the open transaction's writes, then log its redo.
 
-        The commit protocol: stamp every touched chain with the next
-        version number, *then* publish that number — a reader pinning
-        the new version the instant publish returns already finds every
-        chain restamped.  Deferred index reclamation rides the publish
-        into the GC queue and is collected opportunistically (with no
-        pinned readers it drains immediately, so single-threaded flows
-        keep today's exact index shapes).
+        The redo record is built here, once, from the write set: one
+        net-effect op per touched row (see :func:`_redo_op`), so a row
+        written several times costs one op, and a transaction whose
+        changes cancel out logs nothing.  The commit protocol: stamp
+        every touched chain with the next version number, *then*
+        publish that number — a reader pinning the new version the
+        instant publish returns already finds every chain restamped.
+        Deferred index reclamation rides the publish into the GC queue
+        and is collected opportunistically (with no pinned readers it
+        drains immediately, so single-threaded flows keep today's exact
+        index shapes).
         """
         txn = self._txn.take_commit()
-        if txn.touched:
-            version = self._mvcc.begin_version()
-            for entry, rowid in txn.touched:
-                entry.heap.commit(rowid, txn, version)
-            self._mvcc.publish(version, txn.deferred)
-            self._flatten_fresh(txn.touched, version)
-            self._mvcc.collect()
-        if txn.redo:
-            self._log({"type": "txn", "ops": txn.redo})
+        if not txn.touched:
+            return
+        touched = txn.touched.values()
+        ops = []
+        if self._wal is not None:
+            for entry, rowid in touched:
+                op = _redo_op(entry, entry.heap.chain(rowid), txn)
+                if op is not None:
+                    ops.append(op)
+        version = self._mvcc.begin_version()
+        for entry, rowid in touched:
+            entry.heap.commit(rowid, txn, version)
+        self._mvcc.publish(version, txn.deferred)
+        self._flatten_fresh(touched, version)
+        self._mvcc.collect()
+        if ops:
+            self._log({"type": "txn", "ops": ops})
 
     def _flatten_fresh(
-        self, touched: Sequence[tuple[TableEntry, int]], version: int
+        self, touched: Iterable[tuple[TableEntry, int]], version: int
     ) -> None:
         """Store the rows first inserted at ``version`` as flat images.
 
@@ -737,15 +749,7 @@ class Database:
                     self._check_parent(entry, row, view)
                     self._check_foreign_keys(entry, row, view)
                     rowid = self._store(entry, row, txn)
-                    txn.touched.append((entry, rowid))
-                    self._txn.record(
-                        UndoInsert(table, rowid),
-                        {
-                            "op": "insert",
-                            "table": table,
-                            "row": self._wire_row(entry, row),
-                        },
-                    )
+                    self._txn.record(UndoInsert(table, rowid), entry)
                     self.stats.record_write(table)
                     self._notify_write(table)
             else:
@@ -784,18 +788,7 @@ class Database:
         self._mvcc.publish(version + 1)
         self._flatten_fresh(((entry, rowid),), version + 1)
         self._mvcc.collect()
-        self._log(
-            {
-                "type": "txn",
-                "ops": [
-                    {
-                        "op": "insert",
-                        "table": table,
-                        "row": self._wire_row(entry, row),
-                    }
-                ],
-            }
-        )
+        self._log({"type": "txn", "ops": [_insert_op(entry.schema, row)]})
         return row
 
     def _materialise_row(
@@ -1309,20 +1302,8 @@ class Database:
                         entry, old_row, new_row, self._writer_view()
                     )
                     self._replace(entry, rowid, old_row, new_row, txn)
-                    txn.touched.append((entry, rowid))
                     txn.deferred.append((entry, rowid, old_row, new_row))
-                    self._txn.record(
-                        UndoUpdate(table, rowid, old_row),
-                        {
-                            "op": "update",
-                            "table": table,
-                            "pk": list(
-                                to_wire(new_row[c], schema.column(c).type)
-                                for c in schema.primary_key
-                            ),
-                            "row": self._wire_row(entry, new_row),
-                        },
-                    )
+                    self._txn.record(UndoUpdate(table, rowid, old_row), entry)
                     self.stats.record_write(table)
                     self._notify_write(table)
                     changed += 1
@@ -1443,19 +1424,8 @@ class Database:
         row = dict(current)
         txn = self._txn.current
         entry.heap.put_tombstone(rowid, txn)
-        txn.touched.append((entry, rowid))
         txn.deferred.append((entry, rowid, row, None))
-        self._txn.record(
-            UndoDelete(table, rowid, row),
-            {
-                "op": "delete",
-                "table": table,
-                "pk": [
-                    to_wire(row[c], entry.schema.column(c).type)
-                    for c in entry.schema.primary_key
-                ],
-            },
-        )
+        self._txn.record(UndoDelete(table, rowid, row), entry)
         self.stats.record_write(table)
         self._notify_write(table)
         return deleted + 1
@@ -1519,36 +1489,17 @@ class Database:
             ):
                 ordered.remove(rowid, popped)
 
-    def _wire_row(self, entry: TableEntry, row: dict[str, Any]) -> dict[str, Any]:
-        return self._wire_row_with(entry.schema, row)
+    def _unwire(self, column: Column, value: Any) -> Any:
+        """A replayed value, as lean as one the live insert path stored.
 
-    @staticmethod
-    def _wire_row_with(
-        schema: TableSchema, row: dict[str, Any]
-    ) -> dict[str, Any]:
-        return {
-            name: to_wire(value, schema.column(name).type)
-            for name, value in row.items()
-        }
-
-    def _unwire_row(self, entry: TableEntry, row: dict[str, Any]) -> dict[str, Any]:
-        """A replayed row, as lean as one the live insert path built.
-
-        Keys are the schema's own ``Column.name`` objects, not the
-        strings ``json`` decoded for this record, and each short string
-        value is shared through the replay-scoped memo: a recovered row
-        then costs no more memory than a live one.
+        Each short string is shared through the replay-scoped memo, and
+        rows are keyed by the schema's own ``Column.name`` objects: a
+        recovered row then costs no more memory than a live one.
         """
-        schema = entry.schema
-        memo = self._replay_strings
-        unwired = {}
-        for name, value in row.items():
-            column = schema.column(name)
-            value = from_wire(value, column.type)
-            if type(value) is str and len(value) <= _SHARED_STRING_MAX:
-                value = memo.setdefault(value, value)
-            unwired[column.name] = value
-        return unwired
+        value = from_wire(value, column.type)
+        if type(value) is str and len(value) <= _SHARED_STRING_MAX:
+            value = self._replay_strings.setdefault(value, value)
+        return value
 
     # ------------------------------------------------------------------
     # Durability
@@ -1628,7 +1579,23 @@ class Database:
              "unique": false, "ordered": false}
             {"type": "add_column", "table": "...", "column": {...}}
             {"type": "autoincrement", "table": "...", "next": 8}
-            {"type": "txn", "ops": [{"op": "insert"|"update"|"delete", ...}]}
+            {"type": "txn", "ops": [op, ...]}
+
+        where each op is one row's net change in its transaction, with
+        values in their wire form (:func:`repro.minidb.types.to_wire`)::
+
+            {"op": "insert", "table": "...", "values": [v0, v1, ...]}
+            {"op": "update", "table": "...", "pk": [...],
+             "set": [[position, value], ...]}
+            {"op": "delete", "table": "...", "pk": [...]}
+
+        ``values`` lists the row in schema column order with trailing
+        NULLs dropped; replay fills every missing column with NULL,
+        never with its default.  ``set`` names columns by schema
+        position and holds only those whose committed value changed;
+        replay merges it into the current row.  An op in any other
+        shape (such as the whole-row ``"row"`` image of older logs) is
+        refused with a :class:`RecoveryError` whose ``reason`` names it.
 
         Recovery runs before any reader exists, so replay stores each
         row as a flat image (a bare row dict, see
@@ -1671,9 +1638,6 @@ class Database:
                             record["table"], record["columns"], record["unique"]
                         )
                 elif kind == "add_column":
-                    from repro.minidb.schema import Column
-                    from repro.minidb.types import ColumnType
-
                     spec = record["column"]
                     self.add_column(
                         record["table"],
@@ -1721,8 +1685,22 @@ class Database:
         entry = self._catalog.entry(op["table"])
         schema = entry.schema
         version = self._mvcc.version
-        if op["op"] == "insert":
-            row = self._unwire_row(entry, op["row"])
+        kind = op["op"]
+        if "row" in op:
+            raise RecoveryError(
+                f"WAL {kind} op on {op['table']!r} carries a whole-row "
+                "'row' image; this log was written in an older record "
+                "shape that replay does not read",
+                path=str(self._wal.path),
+                reason="row-shape",
+            )
+        if kind == "insert":
+            values = op["values"]
+            values += [None] * (len(schema.columns) - len(values))
+            row = {
+                column.name: self._unwire(column, value)
+                for column, value in zip(schema.columns, values)
+            }
             rowid = self._store(entry, row, token=None, version=version)
             entry.heap.flatten(rowid, version)
             if schema.autoincrement is not None:
@@ -1735,8 +1713,11 @@ class Database:
             for column, value in zip(schema.primary_key, op["pk"])
         )
         rowid, old_row = self._replay_rowid(entry, key, op["table"])
-        if op["op"] == "update":
-            new_row = self._unwire_row(entry, op["row"])
+        if kind == "update":
+            new_row = dict(old_row)
+            for position, value in op["set"]:
+                column = schema.columns[position]
+                new_row[column.name] = self._unwire(column, value)
             entry.pk_index.remove(rowid, old_row)
             for index in entry.hash_indexes.values():
                 index.remove(rowid, old_row)
@@ -1749,7 +1730,7 @@ class Database:
                 index.add(rowid, new_row)
             for ordered in entry.ordered_indexes.values():
                 ordered.add(rowid, new_row)
-        elif op["op"] == "delete":
+        elif kind == "delete":
             entry.heap.remove(rowid)
             entry.pk_index.remove(rowid, old_row)
             for index in entry.hash_indexes.values():
@@ -1757,7 +1738,7 @@ class Database:
             for ordered in entry.ordered_indexes.values():
                 ordered.remove(rowid, old_row)
         else:
-            raise RecoveryError(f"unknown WAL op {op['op']!r}")
+            raise RecoveryError(f"unknown WAL op {kind!r}")
 
     def checkpoint(self, reason: str = "manual") -> int:
         """Online checkpoint: snapshot state, compact the WAL behind it.
@@ -1906,13 +1887,7 @@ class Database:
             schema = table["schema"]
             batch: list[dict[str, Any]] = []
             for __, row in table["entry"].heap.visible_items(version):
-                batch.append(
-                    {
-                        "op": "insert",
-                        "table": table["name"],
-                        "row": self._wire_row_with(schema, row),
-                    }
-                )
+                batch.append(_insert_op(schema, row))
                 if len(batch) >= _CHECKPOINT_BATCH_ROWS:
                     yield {"type": "txn", "ops": batch}
                     batch = []
@@ -1923,6 +1898,51 @@ class Database:
         """Flush and release the WAL file handle."""
         if self._wal is not None:
             self._wal.close()
+
+
+def _insert_op(schema: TableSchema, row: dict[str, Any]) -> dict[str, Any]:
+    """The redo op of an inserted row: its values in schema column
+    order, trailing NULLs dropped."""
+    values = [to_wire(row[column.name], column.type) for column in schema.columns]
+    while values and values[-1] is None:
+        values.pop()
+    return {"op": "insert", "table": schema.name, "values": values}
+
+
+def _redo_op(
+    entry: TableEntry, chain: tuple, token: Transaction
+) -> dict[str, Any] | None:
+    """The net effect of ``token`` on one touched row, as a redo op.
+
+    ``chain`` is the row's version chain before the commit restamps it:
+    ``token``'s entries sit at its head, the newest being the final
+    image (``None`` for a delete), and the first entry below them is
+    the committed image (none for a row this transaction inserted).
+    Returns ``None`` when nothing is left to log: a row inserted and
+    deleted again, or updates that restored every committed value.
+    """
+    new = chain[2]
+    below = chain[3]
+    while type(below) is tuple and below[1] is token:
+        below = below[3]
+    old = below if below is None or type(below) is dict else below[2]
+    schema = entry.schema
+    if old is None:
+        return None if new is None else _insert_op(schema, new)
+    pk = [
+        to_wire(old[name], schema.column(name).type)
+        for name in schema.primary_key
+    ]
+    if new is None:
+        return {"op": "delete", "table": schema.name, "pk": pk}
+    changed = [
+        [position, to_wire(new[column.name], column.type)]
+        for position, column in enumerate(schema.columns)
+        if new[column.name] != old[column.name]
+    ]
+    if not changed:
+        return None
+    return {"op": "update", "table": schema.name, "pk": pk, "set": changed}
 
 
 def _order_key(column: str):

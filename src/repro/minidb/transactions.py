@@ -1,12 +1,14 @@
-"""Transactions for minidb: undo log, redo buffer, and the MVCC token.
+"""Transactions for minidb: undo log, write set, and the MVCC token.
 
 The engine serialises all *writes* under its statement mutex, so the
 transaction machinery is about atomicity, visibility and ownership:
 
 * every mutation appends an **undo entry**; ``rollback`` replays the undo
   entries in reverse through the engine, restoring heap and indexes;
-* every mutation also appends a **redo operation**; ``commit`` hands the
-  redo batch to the write-ahead log as one atomic record;
+* every mutation also adds its row to the **write set** (``touched``);
+  ``commit`` derives the redo record from it — one net-effect op per
+  touched row — and hands it to the write-ahead log as one atomic
+  record;
 * the :class:`Transaction` object itself is the **MVCC token**: the
   heap stamps every uncommitted chain entry with it, and reads on the
   thread that opened it (``owner``) overlay those entries on their
@@ -16,11 +18,12 @@ transaction machinery is about atomicity, visibility and ownership:
   write into it, commit it or roll it back.  The engine makes every
   other thread's writes wait until it closes.
 
-At commit the engine walks ``touched`` to restamp the token entries with
-the new version number, then hands ``deferred`` (the superseded images
-whose index entries must eventually go) to the snapshot manager's GC
-queue.  Outside an explicit transaction the engine runs in autocommit
-mode: each statement forms its own single-operation transaction.
+At commit the engine walks ``touched`` to encode the redo record and to
+restamp the token entries with the new version number, then hands
+``deferred`` (the superseded images whose index entries must eventually
+go) to the snapshot manager's GC queue.  Outside an explicit
+transaction the engine runs in autocommit mode: each statement forms
+its own single-operation transaction.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ UndoEntry = UndoInsert | UndoUpdate | UndoDelete
 
 
 class Transaction:
-    """One open transaction's undo entries, redo operations and MVCC
+    """One open transaction's undo entries, write set and MVCC
     bookkeeping.  Identity (``is``) is what makes it a token — never
     compared by value, and never recycled (a reader holding a stale
     chain reference must not match a token from an earlier life).
@@ -72,17 +75,17 @@ class Transaction:
     path.
     """
 
-    __slots__ = ("undo", "redo", "owner", "touched", "deferred")
+    __slots__ = ("undo", "owner", "touched", "deferred")
 
     def __init__(self) -> None:
         self.undo: list[UndoEntry] = []
-        self.redo: list[dict[str, Any]] = []
         #: Ident of the thread that opened (and alone may use) it.
         self.owner = threading.get_ident()
-        #: ``(table entry, rowid)`` of every chain holding entries
-        #: stamped with this token — restamped to the commit version at
-        #: publish.
-        self.touched: list = []
+        #: The write set: ``(table, rowid) -> (table entry, rowid)`` for
+        #: every chain holding entries stamped with this token, in
+        #: first-touch order — encoded as redo and restamped to the
+        #: commit version at publish.
+        self.touched: dict = {}
         #: Deferred index reclamation: ``(entry, rowid, old_row,
         #: next_row)`` per superseded image; queued to version GC at
         #: commit, discarded on rollback.
@@ -122,16 +125,19 @@ class TransactionManager:
         txn = self._current
         return txn is not None and txn.owner == threading.get_ident()
 
-    def record(self, undo: UndoEntry, redo: dict[str, Any]) -> None:
-        """Log one mutation into the open transaction.
+    def record(self, undo: UndoEntry, entry: Any) -> None:
+        """Log one mutation of a row of ``entry`` into the open transaction.
 
         Must only be called while a transaction is open (the engine opens
         an implicit one for autocommit statements).
         """
-        if self._current is None:
+        txn = self._current
+        if txn is None:
             raise TransactionError("no transaction in progress")
-        self._current.undo.append(undo)
-        self._current.redo.append(redo)
+        txn.undo.append(undo)
+        key = (undo.table, undo.rowid)
+        if key not in txn.touched:
+            txn.touched[key] = (entry, undo.rowid)
 
     def take_commit(self) -> Transaction:
         """Close the transaction, returning it for publish + WAL append."""

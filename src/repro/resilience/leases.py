@@ -17,7 +17,13 @@ table closes that gap:
 The table is in-memory by design: leases describe *delivery* state, not
 workflow state.  After a manager restart the instances are still in the
 database as ``delegated``/``active`` rows, and the broker's journal
-still holds the undelivered dispatches — a fresh sweep re-covers them.
+holds every dispatch that was sent before the crash.  It does not hold
+one the crash cut off: an engine call sends its messages only after its
+commit is durable, so a crash between that commit and the send leaves
+an instance ``delegated`` with no message anywhere, and since the table
+starts empty no lease ever expires to redispatch it.  Closing that
+commit→send window needs a durable outbox relayed on open (ROADMAP
+items 4 and 5); until then such an instance waits for an operator.
 """
 
 from __future__ import annotations
