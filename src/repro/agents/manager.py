@@ -259,8 +259,12 @@ class AgentManager:
 
         Contains the (merged) experiment record and every candidate
         input sample, grouped under its most specific type table so the
-        reverse mapping stays lossless.
+        reverse mapping stays lossless.  Type tables come from the
+        engine's spec cache; the only database read is the experiment's
+        child row.
         """
+        assert self.engine is not None
+        specs = self.engine.specs
         document = RelationalDocument(
             "task-input",
             kind="dispatch",
@@ -268,12 +272,19 @@ class AgentManager:
             workflow_id=str(workflow["workflow_id"]),
             task=task_name,
         )
-        experiment_table = self._experiment_table(experiment["type_name"])
-        merged = self._merged_experiment(experiment)
-        document.add_table_from_db(self.db, experiment_table, [merged])
+        type_name = experiment["type_name"]
+        experiment_table = type_name and specs.type_table(type_name)
+        merged = dict(experiment)
+        if experiment_table:
+            merged.update(
+                self.db.get(experiment_table, experiment["experiment_id"]) or {}
+            )
+        document.add_table_from_db(
+            self.db, experiment_table or "Experiment", [merged]
+        )
         samples_by_table: dict[str, list[dict[str, Any]]] = {}
         for sample in available_inputs:
-            table = self._sample_table(sample["type_name"])
+            table = specs.sample_type_table(sample["type_name"]) or "Sample"
             samples_by_table.setdefault(table, []).append(sample)
         for table, samples in samples_by_table.items():
             document.add_table_from_db(self.db, table, samples)
@@ -574,29 +585,6 @@ class AgentManager:
             producer = self._connection.create_producer(queue)
             self._producers[queue] = producer
         return producer
-
-    def _experiment_table(self, type_name: str | None) -> str:
-        if type_name is not None:
-            row = self.db.select_one("ExperimentType", EQ("type_name", type_name))
-            if row is not None and self.db.has_table(row["table_name"]):
-                return row["table_name"]
-        return "Experiment"
-
-    def _sample_table(self, type_name: str) -> str:
-        row = self.db.select_one("SampleType", EQ("type_name", type_name))
-        if row is not None and self.db.has_table(row["table_name"]):
-            return row["table_name"]
-        return "Sample"
-
-    def _merged_experiment(self, experiment: dict[str, Any]) -> dict[str, Any]:
-        table = self._experiment_table(experiment["type_name"])
-        if table == "Experiment":
-            return dict(experiment)
-        child = self.db.get(table, experiment["experiment_id"])
-        merged = dict(experiment)
-        if child is not None:
-            merged.update(child)
-        return merged
 
     def close(self) -> None:
         """Disconnect from the broker."""

@@ -334,8 +334,15 @@ class WorkflowBean:
                     workflow = self.db.get("Workflow", workflow_id)
                     rows, snapshot = self._snapshot(workflow_id)
                 else:
+                    inputs = functools.cache(
+                        functools.partial(
+                            self.collect_available_inputs, workflow_id, name
+                        )
+                    )
                     for __ in range(taskdef.default_instances):
-                        self._create_and_delegate(workflow, task_row, taskdef)
+                        self._create_and_delegate(
+                            workflow, task_row, taskdef, inputs
+                        )
 
         status = termination(graph, snapshot)
         if status is None or workflow["status"] != "running":
@@ -548,7 +555,13 @@ class WorkflowBean:
         workflow: dict[str, Any],
         task_row: dict[str, Any],
         taskdef: TaskDef,
+        inputs: Callable[[], list[dict[str, Any]]],
     ) -> dict[str, Any]:
+        """Create one instance and delegate it to an agent, if the type
+        has one.  ``inputs`` yields the task's candidate input samples;
+        it is called only for an instance that gets an agent, and an
+        activation passes one cached callable to all its instances, so
+        the candidates are collected once per activation."""
         agent = self.dispatcher.choose_agent(taskdef.experiment_type)
         experiment = self.db.insert(
             "Experiment",
@@ -578,12 +591,9 @@ class WorkflowBean:
         )
         experiment = self._apply_instance_event(experiment, Event.DELEGATE)
         if agent is not None:
-            inputs = self.collect_available_inputs(
-                workflow["workflow_id"], taskdef.name
-            )
             self._send(
                 self.dispatcher.dispatch_instance,
-                agent, workflow, taskdef.name, experiment, inputs,
+                agent, workflow, taskdef.name, experiment, inputs(),
                 audited=True,
             )
         return experiment
@@ -601,7 +611,12 @@ class WorkflowBean:
             raise InstanceError(
                 f"task {task_name!r} is a sub-workflow and has no instances"
             )
-        return self._create_and_delegate(workflow, task_row, taskdef)
+        return self._create_and_delegate(
+            workflow,
+            task_row,
+            taskdef,
+            functools.partial(self.collect_available_inputs, workflow_id, task_name),
+        )
 
     @_synchronized
     def instance_started(self, experiment_id: int) -> None:
@@ -928,6 +943,10 @@ class WorkflowBean:
         experiment produced) for required input types no transition
         covers — "tasks can have input objects not being produced by
         source tasks".
+
+        An activation collects them once for all of the task's default
+        instances (see :meth:`_create_and_delegate`), and only if one
+        of them gets an agent.
         """
         workflow, __, taskdef = self._resolve_task(workflow_id, task_name)
         graph = self._graph(workflow["pattern_id"])
@@ -1045,7 +1064,9 @@ class WorkflowBean:
         :meth:`_link_io`), so the produced ones are found through the
         ``ExperimentIO(etio_id)`` index, and only for a type that some
         experiment type outputs.  The cost follows the samples of the
-        requested type, not the lab's whole history of experiments.
+        requested type, not the lab's whole history of experiments: one
+        select of the type's ``Sample`` rows, then one child-table get
+        per stock sample to merge its type columns.
         """
         outputs = [
             row["etio_id"]
@@ -1062,14 +1083,12 @@ class WorkflowBean:
                 else ()
             )
         }
-        stock = []
-        for sample in self.db.select("Sample", EQ("type_name", sample_type)):
-            if sample["sample_id"] in produced:
-                continue
-            merged = self._merged_sample(sample["sample_id"])
-            if merged is not None:
-                stock.append(merged)
-        return stock
+        type_table = self.specs.sample_type_table(sample_type)
+        return [
+            self._with_child(sample, type_table, "sample_id")
+            for sample in self.db.select("Sample", EQ("type_name", sample_type))
+            if sample["sample_id"] not in produced
+        ]
 
     def _create_output_sample(
         self, experiment: dict[str, Any], output: dict[str, Any]
@@ -1380,30 +1399,30 @@ class WorkflowBean:
             return None
         return self.specs.type_table(experiment_type)
 
+    def _with_child(
+        self, row: dict[str, Any], type_table: str | None, key: str
+    ) -> dict[str, Any]:
+        """``row`` merged with its child row in ``type_table`` (one
+        get), or ``row`` itself when there is none."""
+        child = self.db.get(type_table, row[key]) if type_table else None
+        if child is None:
+            return row
+        merged = dict(row)
+        merged.update(child)
+        return merged
+
     def _merged_experiment(self, experiment_id: int) -> dict[str, Any] | None:
         experiment = self.db.get("Experiment", experiment_id)
         if experiment is None:
             return None
-        type_table = self._type_table(experiment["type_name"])
-        if type_table is None:
-            return experiment
-        child = self.db.get(type_table, experiment_id)
-        if child is None:
-            return experiment
-        merged = dict(experiment)
-        merged.update(child)
-        return merged
+        return self._with_child(
+            experiment, self._type_table(experiment["type_name"]), "experiment_id"
+        )
 
     def _merged_sample(self, sample_id: int) -> dict[str, Any] | None:
         sample = self.db.get("Sample", sample_id)
         if sample is None:
             return None
-        type_table = self.specs.sample_type_table(sample["type_name"])
-        if type_table is None:
-            return sample
-        child = self.db.get(type_table, sample_id)
-        if child is None:
-            return sample
-        merged = dict(sample)
-        merged.update(child)
-        return merged
+        return self._with_child(
+            sample, self.specs.sample_type_table(sample["type_name"]), "sample_id"
+        )

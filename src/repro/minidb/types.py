@@ -100,6 +100,14 @@ def coerce(value: Any, column_type: ColumnType, context: str = "value") -> Any:
         if isinstance(value, _dt.datetime):
             return value
         if isinstance(value, str):
+            # 26 characters is the only length at which strptime accepts
+            # the format, all fields at full width: there fromisoformat
+            # parses the same value, many times faster.
+            if len(value) == 26:
+                try:
+                    return _dt.datetime.fromisoformat(value)
+                except ValueError:
+                    pass
             try:
                 return _dt.datetime.strptime(value, _TIMESTAMP_FORMAT)
             except ValueError:

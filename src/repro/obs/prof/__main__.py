@@ -81,9 +81,7 @@ def run_report(
                 return 1
             return 0
         finally:
-            profiler.close()
-            lab.app.db.close()
-            lab.broker.close()
+            lab.close()
 
 
 def build_parser() -> argparse.ArgumentParser:

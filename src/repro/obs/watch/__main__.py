@@ -143,8 +143,7 @@ def run_demo(as_json: bool) -> int:
                 return 1
             return 0
         finally:
-            lab.app.db.close()
-            lab.broker.close()
+            lab.close()
 
 
 def run_timeline(as_json: bool) -> int:
@@ -178,8 +177,7 @@ def run_timeline(as_json: bool) -> int:
                 return 1
             return 0
         finally:
-            lab.app.db.close()
-            lab.broker.close()
+            lab.close()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -115,6 +115,7 @@ class ProteinLab:
     obs: ObservabilityHub | None = None
     #: Fault plan attached across WAL, broker, manager and agents.
     faults: FaultPlan | None = None
+    _closed: bool = field(default=False, init=False, repr=False)
 
     def attach_faults(self, plan: FaultPlan | None) -> None:
         """(Re)attach a fault plan to every injection point in the lab."""
@@ -124,6 +125,38 @@ class ProteinLab:
         self.manager.faults = plan
         for agent in self.agents:
             agent.faults = plan
+
+    def close(self) -> None:
+        """Shut the lab down; a second call does nothing.
+
+        Stops the profiler's sampler and drains the watch layer's
+        export queue, closes the agents' and the manager's broker
+        connections (requeueing anything they hold unacknowledged),
+        then the broker's journal, then the database's WAL.  Both logs
+        then reopen with what the lab committed.  A step that raises
+        does not stop the later ones; the first error is raised once
+        every step has run.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        steps = []
+        if self.obs is not None:
+            steps += [
+                layer.close
+                for layer in (self.obs.profiler, self.obs.watcher)
+                if layer is not None
+            ]
+        steps += [agent.close for agent in self.agents]
+        steps += [self.manager.close, self.broker.close, self.app.db.close]
+        first_error: Exception | None = None
+        for step in steps:
+            try:
+                step()
+            except Exception as error:
+                first_error = first_error or error
+        if first_error is not None:
+            raise first_error
 
     def run_messages(self) -> int:
         """Drive the asynchronous system to quiescence."""

@@ -17,6 +17,9 @@ Every ``<column>`` element records the minidb column type, making the
 relational→XML→relational roundtrip lossless, including NULLs and
 timestamps.  Root attributes are free-form strings used for routing
 metadata (task ids, message kinds, ...).
+
+Rendering writes the XML text directly (the same bytes ElementTree's
+serializer would give); parsing goes through ElementTree.
 """
 
 from __future__ import annotations
@@ -28,6 +31,29 @@ from repro.errors import XmlExtractionError, XmlTranslationError
 from repro.minidb.engine import Database
 from repro.minidb.schema import TableSchema
 from repro.minidb.types import ColumnType, from_wire, to_wire
+
+
+def _escape_text(text: str) -> str:
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    return text
+
+
+def _escape_attribute(text: str) -> str:
+    text = _escape_text(text)
+    if '"' in text:
+        text = text.replace('"', "&quot;")
+    if "\r" in text:
+        text = text.replace("\r", "&#13;")
+    if "\n" in text:
+        text = text.replace("\n", "&#10;")
+    if "\t" in text:
+        text = text.replace("\t", "&#09;")
+    return text
 
 
 class RelationalDocument:
@@ -104,26 +130,64 @@ class RelationalDocument:
     # ------------------------------------------------------------------
 
     def to_xml(self) -> str:
-        """Render the document as an XML string."""
-        root = ET.Element(self.root_tag, dict(self.attributes))
+        """Render the document as an XML string.
+
+        Written directly as strings, in the form ElementTree's
+        ``tostring(..., encoding="unicode")`` gives: attributes in
+        insertion order, ``&``, ``<``, ``>`` escaped in text (and
+        ``"``, CR, LF, tab too in attribute values), a childless
+        element as ``<tag ... />``, no XML declaration.
+        """
+        parts = ["<", self.root_tag]
+        for key, value in self.attributes.items():
+            parts.append(f' {key}="{_escape_attribute(value)}"')
+        if not self._tables:
+            parts.append(" />")
+            return "".join(parts)
+        parts.append(">")
         for table_name, (types, rows) in self._tables.items():
-            table_element = ET.SubElement(root, "table", {"name": table_name})
+            head = f'<table name="{_escape_attribute(table_name)}"'
+            if not rows:
+                parts.append(head + " />")
+                continue
+            parts.append(head + ">")
+            # column -> (element start, type), built once per table.
+            columns = {
+                column: (
+                    f'<column name="{_escape_attribute(column)}" '
+                    f'type="{column_type.value}"',
+                    column_type,
+                )
+                for column, column_type in types.items()
+            }
             for row in rows:
-                row_element = ET.SubElement(table_element, "row")
+                if not row:
+                    parts.append("<row />")
+                    continue
+                parts.append("<row>")
                 for column, value in row.items():
-                    column_type = types[column]
-                    attrs = {"name": column, "type": column_type.value}
+                    start, column_type = columns[column]
                     if value is None:
-                        attrs["null"] = "true"
-                        ET.SubElement(row_element, "column", attrs)
+                        parts.append(start + ' null="true" />')
                         continue
-                    column_element = ET.SubElement(row_element, "column", attrs)
-                    column_element.text = str(to_wire(value, column_type))
-        return ET.tostring(root, encoding="unicode")
+                    text = str(to_wire(value, column_type))
+                    if text:
+                        parts.append(f"{start}>{_escape_text(text)}</column>")
+                    else:
+                        parts.append(start + " />")
+                parts.append("</row>")
+            parts.append("</table>")
+        parts.append(f"</{self.root_tag}>")
+        return "".join(parts)
 
     @staticmethod
     def from_xml(xml_text: str) -> "RelationalDocument":
-        """Parse a document produced by :meth:`to_xml` (or by an agent)."""
+        """Parse a document produced by :meth:`to_xml` (or by an agent).
+
+        Each ``(column, type)`` attribute pair of a table is resolved
+        to its :class:`ColumnType` once; every value goes through
+        :func:`from_wire`.
+        """
         try:
             root = ET.fromstring(xml_text)
         except ET.ParseError as error:
@@ -132,40 +196,50 @@ class RelationalDocument:
         document.root_tag = root.tag
         document.attributes = dict(root.attrib)
         document._tables = {}
-        for table_element in root.findall("table"):
+        for table_element in root.iterfind("table"):
             table_name = table_element.get("name")
             if not table_name:
                 raise XmlTranslationError("<table> element without name")
             types: dict[str, ColumnType] = {}
+            # (name, type) attributes -> (column, type)
+            resolved: dict[
+                tuple[str | None, str | None], tuple[str, ColumnType]
+            ] = {}
             rows: list[dict[str, Any]] = []
-            for row_element in table_element.findall("row"):
+            for row_element in table_element.iterfind("row"):
                 row: dict[str, Any] = {}
-                for column_element in row_element.findall("column"):
-                    column = column_element.get("name")
-                    type_name = column_element.get("type")
-                    if not column or not type_name:
-                        raise XmlTranslationError(
-                            f"<column> in table {table_name!r} missing "
-                            "name or type"
-                        )
-                    try:
-                        column_type = ColumnType(type_name)
-                    except ValueError:
-                        raise XmlTranslationError(
-                            f"unknown column type {type_name!r} in table "
-                            f"{table_name!r}"
-                        ) from None
-                    types[column] = column_type
-                    if column_element.get("null") == "true":
-                        row[column] = None
-                    else:
-                        text = column_element.text or ""
-                        try:
-                            row[column] = from_wire(text, column_type)
-                        except Exception as error:
+                for column_element in row_element.iterfind("column"):
+                    attributes = column_element.attrib
+                    key = (attributes.get("name"), attributes.get("type"))
+                    known = resolved.get(key)
+                    if known is None:
+                        column, type_name = key
+                        if not column or not type_name:
                             raise XmlTranslationError(
-                                f"bad value for {table_name}.{column}: {error}"
+                                f"<column> in table {table_name!r} missing "
+                                "name or type"
+                            )
+                        try:
+                            column_type = ColumnType(type_name)
+                        except ValueError:
+                            raise XmlTranslationError(
+                                f"unknown column type {type_name!r} in table "
+                                f"{table_name!r}"
                             ) from None
+                        known = resolved[key] = (column, column_type)
+                    column, column_type = known
+                    types[column] = column_type
+                    if attributes.get("null") == "true":
+                        row[column] = None
+                        continue
+                    try:
+                        row[column] = from_wire(
+                            column_element.text or "", column_type
+                        )
+                    except Exception as error:
+                        raise XmlTranslationError(
+                            f"bad value for {table_name}.{column}: {error}"
+                        ) from None
                 rows.append(row)
             if table_name in document._tables:
                 existing_types, existing_rows = document._tables[table_name]

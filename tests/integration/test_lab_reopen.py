@@ -79,8 +79,7 @@ def lab_run(tmp_path_factory):
     assert len(workflow_ids) == 6  # two runs, four sub-workflow runs
     live_tables = tables_of(lab.app.db)
     live_audit = audit_answers(lab.app.db, workflow_ids)
-    lab.app.db.close()
-    lab.broker.close()
+    lab.close()
 
     reopened = Database(wal_path)
     yield live_tables, live_audit, reopened, workflow_ids

@@ -79,8 +79,7 @@ def live_and_recovered(tmp_path_factory):
         workflow_id = lab.engine.start_workflow("protein_creation")["workflow_id"]
         assert lab.run_to_completion(workflow_id) == "completed"
     live = _bytes_per_row(lab.app.db)
-    lab.app.db.close()
-    lab.broker.close()
+    lab.close()
     recovered = Database(wal_path)
     yield live, recovered
     recovered.close()
