@@ -15,7 +15,10 @@ multi-instance/retry machinery.
 
 from __future__ import annotations
 
+import csv
+import io
 import random
+import re
 from typing import Any, Callable
 
 from repro.agents.base import AgentResult, TemplateAgent
@@ -26,6 +29,17 @@ from repro.xmlbridge import RelationalDocument
 
 #: CSV header the robot controller expects.
 CSV_HEADER = "sample_id,sample_type,name,quality"
+#: Characters that make a CSV field need quoting.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _csv_field(value: Any) -> str:
+    """One CSV field: quoted (RFC 4180) only if it holds a comma, a
+    quote or a line break, so plain values render unchanged."""
+    text = "" if value is None else str(value)
+    if _NEEDS_QUOTES.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def document_to_csv(document: RelationalDocument) -> str:
@@ -36,19 +50,24 @@ def document_to_csv(document: RelationalDocument) -> str:
     """
     experiment_id = document.attributes.get("experiment-id", "?")
     task = document.attributes.get("task", "?")
-    lines = [f"# experiment,{experiment_id},{task}", CSV_HEADER]
+    lines = [
+        ",".join(map(_csv_field, ("# experiment", experiment_id, task))),
+        CSV_HEADER,
+    ]
     for table in document.tables():
         for row in document.rows(table):
             if "sample_id" not in row:
                 continue  # the experiment record itself
             lines.append(
                 ",".join(
-                    "" if value is None else str(value)
-                    for value in (
-                        row.get("sample_id"),
-                        row.get("type_name"),
-                        row.get("name"),
-                        row.get("quality"),
+                    map(
+                        _csv_field,
+                        (
+                            row.get("sample_id"),
+                            row.get("type_name"),
+                            row.get("name"),
+                            row.get("quality"),
+                        ),
                     )
                 )
             )
@@ -57,22 +76,26 @@ def document_to_csv(document: RelationalDocument) -> str:
 
 def parse_csv(csv_text: str) -> tuple[int, list[dict[str, Any]]]:
     """Parse the robot CSV back into (experiment_id, samples)."""
-    lines = [line for line in csv_text.splitlines() if line.strip()]
-    if len(lines) < 2 or not lines[0].startswith("# experiment,"):
+    rows = [
+        row
+        for row in csv.reader(io.StringIO(csv_text, newline=""))
+        if len(row) > 1 or (row and row[0].strip())
+    ]
+    if len(rows) < 2 or rows[0][0] != "# experiment":
         raise AgentFormatError("robot CSV lacks the experiment header line")
     try:
-        experiment_id = int(lines[0].split(",")[1])
+        experiment_id = int(rows[0][1])
     except (IndexError, ValueError):
         raise AgentFormatError("robot CSV has a malformed experiment id") from None
-    if lines[1] != CSV_HEADER:
+    header = ",".join(rows[1])
+    if header != CSV_HEADER:
         raise AgentFormatError(
-            f"robot CSV header mismatch: {lines[1]!r} != {CSV_HEADER!r}"
+            f"robot CSV header mismatch: {header!r} != {CSV_HEADER!r}"
         )
     samples = []
-    for line in lines[2:]:
-        parts = line.split(",")
+    for parts in rows[2:]:
         if len(parts) != 4:
-            raise AgentFormatError(f"robot CSV row has {len(parts)} fields: {line!r}")
+            raise AgentFormatError(f"robot CSV row has {len(parts)} fields: {parts!r}")
         samples.append(
             {
                 "sample_id": int(parts[0]),

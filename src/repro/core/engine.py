@@ -57,11 +57,12 @@ Design decisions, mapped to the paper:
 # across durable database writes: one re-entrant lock serialises all
 # engine methods (the paper's servlet-bean concurrency model), and each
 # call's one commit (plus one for its deferred broker messages) waits on
-# its durability barrier under it.  This is the known cost of the
-# current thread-per-request model; per-instance serialisation (ROADMAP
-# item 2) replaces the bean lock entirely, and this module-allow is the
-# inventory of exactly the sites that rewrite must move out from under
-# a lock.
+# its durability barrier under it — outside a web request; inside one,
+# only the barrier before the first broker send does.  This is the known
+# cost of the current thread-per-request model; per-instance
+# serialisation (ROADMAP item 2) replaces the bean lock entirely, and
+# this module-allow is the inventory of exactly the sites that rewrite
+# must move out from under a lock.
 
 from __future__ import annotations
 
@@ -100,6 +101,10 @@ from repro.minidb.engine import Database
 from repro.minidb.predicates import AND, EQ, IN
 
 _Method = TypeVar("_Method", bound=Callable)
+
+#: Events the engine's in-memory :class:`EventLog` keeps (a ring of the
+#: most recent ones); ``WFAudit`` holds the durable trail.
+EVENT_LOG_CAPACITY = 4096
 
 
 def _synchronized(method: _Method) -> _Method:
@@ -150,7 +155,7 @@ class WorkflowBean:
     ) -> None:
         self.db = db
         self.dispatcher: Dispatcher = dispatcher or NullDispatcher()
-        self.events = EventLog()
+        self.events = EventLog(capacity=EVENT_LOG_CAPACITY)
         #: Write-through-invalidated cache of specification data:
         #: pattern rows, compiled patterns, WFPTask rows, and the
         #: experiment/sample type-table mappings.  Subscribed to the
@@ -174,16 +179,18 @@ class WorkflowBean:
         freely call each other, hence an RLock).
 
         The outermost call opens one database transaction, runs its body
-        and commits once, so it waits on a single durability barrier.
-        Nested calls join it, as does a call from a thread that already
-        owns a transaction (whose owner then commits it).  Broker
-        messages queued through :meth:`_send` go out after the commit,
-        in call order, inside one second transaction that holds their
-        dispatch audit rows; if the call raises they are dropped with
-        the rollback.  A caller that applies several engine methods as
-        one call (the AgentManager, per inbound message) gets the
-        :class:`UnitOfWork` to add work to the last transaction that
-        writes.
+        and commits once, so it waits on a single durability barrier —
+        or none, inside a web request's durability unit, which waits
+        once before its response leaves.  Nested calls join it, as does
+        a call from a thread that already owns a transaction (whose
+        owner then commits it).  Broker messages queued through
+        :meth:`_send` go out after the commit is durable (the call waits
+        for it first, even inside a durability unit), in call order,
+        inside one second transaction that holds their dispatch audit
+        rows; if the call raises they are dropped with the rollback.  A
+        caller that applies several engine methods as one call (the
+        AgentManager, per inbound message) gets the :class:`UnitOfWork`
+        to add work to the last transaction that writes.
         """
         with self._lock:
             unit = self._call
@@ -199,6 +206,10 @@ class WorkflowBean:
             finally:
                 self._call = None
             if unit.sends:
+                # Inside a request's durability unit the commit above
+                # has not waited; no message may name a row the WAL
+                # could still lose.
+                self.db.wait_durable()
                 with self._unit():
                     for send in unit.sends:
                         send()

@@ -149,6 +149,18 @@ class WorkflowFilter(Filter):
     def do_filter(
         self, request: HttpRequest, chain: FilterChain
     ) -> HttpResponse:
+        """Route one request; its commits are one durability unit.
+
+        The routing decision, the write and the postprocessing each
+        commit without waiting, and the response leaves only after one
+        barrier on the request's latest WAL record (re-entrant, so a
+        forwarded request still waits once).  Broker messages wait
+        earlier, in :meth:`WorkflowBean.call`.
+        """
+        with self.engine.db.durability_unit():
+            return self._route(request, chain)
+
+    def _route(self, request: HttpRequest, chain: FilterChain) -> HttpResponse:
         hub = self._obs()
         # Mode (b): explicit workflow actions bypass the original target.
         if request.param("workflow_action") is not None:

@@ -32,6 +32,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import (
     ConstraintError,
+    FaultInjected,
     ForeignKeyError,
     NotNullError,
     PrimaryKeyError,
@@ -73,6 +74,20 @@ _COLLECT_BEFORE_REPLAY_BYTES = 1 << 20
 #: Longest string value that WAL replay shares between rows: statuses,
 #: names, trace ids and the audit trail's repeated detail texts.
 _SHARED_STRING_MAX = 128
+
+
+class _PendingCommit(threading.local):
+    """One thread's latest WAL record still owed its durability barrier.
+
+    ``seq`` is the group-commit ticket of the thread's latest append and
+    ``t0`` when it was appended; both are ``None`` once the barrier ran.
+    ``deferred`` counts the thread's open :meth:`Database.durability_unit`
+    scopes; while it is positive a commit returns without waiting.
+    """
+
+    seq: int | None = None
+    t0: float | None = None
+    deferred: int = 0
 
 
 class _ReadView:
@@ -225,9 +240,9 @@ class Database:
         #: statement mutex so waiting for another thread's transaction
         #: releases it (see :meth:`_await_txn_slot`).
         self._txn_closed = threading.Condition(self._mutex)
-        #: Per-thread (wal sequence, start time) of a commit awaiting
-        #: its durability barrier — drained by :meth:`_sync_pending`.
-        self._pending_commit = threading.local()
+        #: Per-thread commit awaiting its durability barrier — drained
+        #: by :meth:`_sync_pending`.
+        self._pending_commit = _PendingCommit()
         #: Cached access-path choice per (table, catalog epoch,
         #: predicate shape); cleared wholesale on any DDL.  The epoch in
         #: the key pins each plan to the index set it was derived from,
@@ -620,7 +635,13 @@ class Database:
             self._txn.begin()
 
     def commit(self) -> None:
-        """Commit this thread's transaction, making it durable."""
+        """Commit this thread's transaction, making it durable.
+
+        The writes are visible to every reader once this returns.  The
+        wait for durability follows, after the mutex is released —
+        unless the thread is inside a :meth:`durability_unit`, which
+        moves that wait to the end of the unit.
+        """
         with self._mutex:
             try:
                 self._commit_locked()
@@ -1518,21 +1539,58 @@ class Database:
             self._pending_commit.seq = seq
             self._pending_commit.t0 = t0
 
-    def _sync_pending(self) -> None:
+    @contextlib.contextmanager
+    def durability_unit(self) -> Iterator[None]:
+        """Make this thread's commits inside the block one durability unit.
+
+        Each commit still publishes its writes and appends its WAL
+        record, but returns without waiting; the block's exit waits
+        once, on the thread's latest record.  The log is a prefix, so
+        that one barrier covers every earlier commit of the block.
+        Re-entrant: only the outermost block waits.  Use it where an
+        effect leaves the process only at the end (a web request's
+        response); an effect inside the block that depends on a commit
+        calls :meth:`wait_durable` first.  An injected crash
+        (:class:`FaultInjected`) leaving the block runs no barrier: the
+        process it simulates is gone.
+        """
+        pending = self._pending_commit
+        pending.deferred += 1
+        crashed = False
+        try:
+            yield
+        except FaultInjected:
+            crashed = True
+            raise
+        finally:
+            pending.deferred -= 1
+            if not crashed:
+                self._sync_pending()
+
+    def wait_durable(self) -> None:
+        """Wait until this thread's latest commit is durable, even
+        inside a :meth:`durability_unit`."""
+        self._sync_pending(force=True)
+
+    def _sync_pending(self, force: bool = False) -> None:
         """Wait for this thread's buffered commit to become durable.
 
         Called *after* the engine mutex is released: under
         ``sync_policy="group"`` that is what lets commits from many
         threads share one fsync barrier instead of serialising their
-        own behind the lock.  Also feeds the :attr:`on_commit` latency
-        hook (append → durable, in milliseconds).
+        own behind the lock.  Inside a :meth:`durability_unit` it
+        returns at once (unless ``force``d) and the record stays
+        pending; a later commit replaces it with its own, later one.
+        Also feeds the :attr:`on_commit` latency hook (append of the
+        latest record → durable, in milliseconds).
         """
-        t0 = getattr(self._pending_commit, "t0", None)
-        if t0 is None:
+        pending = self._pending_commit
+        t0 = pending.t0
+        if t0 is None or (pending.deferred and not force):
             return
-        seq = self._pending_commit.seq
-        self._pending_commit.t0 = None
-        self._pending_commit.seq = None
+        seq = pending.seq
+        pending.t0 = None
+        pending.seq = None
         if self._wal is not None:
             self._wal.sync(seq)
         if self.on_commit is not None:

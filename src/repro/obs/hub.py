@@ -143,6 +143,9 @@ class ObservabilityHub:
         self._watched: set[tuple[str, int]] = set()
         #: Health providers by component name, registered by ``watch_*``.
         self._health: dict[str, Callable[[], dict[str, Any]]] = {}
+        #: Cheaper status-only providers, where a component's full
+        #: health reads files (see :meth:`register_health`).
+        self._status: dict[str, Callable[[], dict[str, Any]]] = {}
         #: (agent, broker) pairs feeding the per-agent health component.
         self._agents: list[tuple[Any, Any]] = []
         self.registry.add_collector(self._collect_self)
@@ -216,10 +219,23 @@ class ObservabilityHub:
     # ------------------------------------------------------------------
 
     def register_health(
-        self, component: str, provider: Callable[[], dict[str, Any]]
+        self,
+        component: str,
+        provider: Callable[[], dict[str, Any]],
+        status: Callable[[], dict[str, Any]] | None = None,
     ) -> None:
-        """Register (or replace) a component's health provider."""
+        """Register (or replace) a component's health provider.
+
+        ``status``, when given, returns the same ``status``/``ready``
+        verdict as ``provider`` without its costlier detail (the
+        database's WAL and the broker's journal layout, which stat
+        every log file); :func:`hub_readiness` reads it instead.
+        """
         self._health[component] = provider
+        if status is None:
+            self._status.pop(component, None)
+        else:
+            self._status[component] = status
 
     def component_health(self, component: str) -> dict[str, Any] | None:
         """One component's health (``None`` if it was never watched).
@@ -227,7 +243,19 @@ class ObservabilityHub:
         A provider that raises is reported as ``error`` rather than
         failing the caller.
         """
-        provider = self._health.get(component)
+        return self._probe(self._health.get(component))
+
+    def component_status(self, component: str) -> dict[str, Any] | None:
+        """One component's verdict, from its status-only provider when
+        it has one (``None`` if it was never watched)."""
+        return self._probe(
+            self._status.get(component) or self._health.get(component)
+        )
+
+    @staticmethod
+    def _probe(
+        provider: Callable[[], dict[str, Any]] | None,
+    ) -> dict[str, Any] | None:
         if provider is None:
             return None
         try:
@@ -432,19 +460,22 @@ class ObservabilityHub:
 
             db.on_checkpoint = on_checkpoint
 
-        def health() -> dict[str, Any]:
-            info: dict[str, Any] = {
+        def status() -> dict[str, Any]:
+            return {
                 "status": "ok",
                 "tables": len(db.tables()),
                 "reads": db.stats.reads,
                 "writes": db.stats.writes,
             }
+
+        def health() -> dict[str, Any]:
+            info = status()
             info["wal"] = db.wal_info()
             if getattr(db, "mvcc_info", None) is not None:
                 info["mvcc"] = db.mvcc_info()
             return info
 
-        self.register_health("database", health)
+        self.register_health("database", health, status)
 
     def watch_container(self, container) -> None:
         """Mirror ``ContainerStats`` at scrape time."""
@@ -626,7 +657,7 @@ class ObservabilityHub:
 
         self.registry.add_collector(collect)
 
-        def health() -> dict[str, Any]:
+        def status() -> dict[str, Any]:
             dlq_depth = broker.dlq_depth()
             info: dict[str, Any] = {
                 "status": "ok",
@@ -636,7 +667,6 @@ class ObservabilityHub:
                 },
                 "in_flight": broker.in_flight_count(),
                 "dlq_depth": dlq_depth,
-                "journal": broker.journal_info(),
             }
             if dlq_depth:
                 # Quarantined messages are an operator signal, not a
@@ -650,7 +680,12 @@ class ObservabilityHub:
                 )
             return info
 
-        self.register_health("broker", health)
+        def health() -> dict[str, Any]:
+            info = status()
+            info["journal"] = broker.journal_info()
+            return info
+
+        self.register_health("broker", health, status)
 
     def watch_manager(self, manager) -> None:
         """Engine-queue depth and pump liveness for the AgentManager."""
@@ -822,11 +857,13 @@ def hub_readiness(hub: ObservabilityHub) -> tuple[bool, str]:
     ``ready: True`` alongside its non-ok status (the broker does this
     for a populated DLQ): ``/workflow/health`` still answers 503, but
     the filter keeps serving.  Only the ``READINESS_COMPONENTS``
-    providers run, so the probe's cost does not grow as the lab ages.
+    providers run, each through its status-only variant where it has
+    one, so the probe neither grows with the lab's age nor touches a
+    file.
     """
     bad = []
     for name in READINESS_COMPONENTS:
-        info = hub.component_health(name)
+        info = hub.component_status(name)
         if info is None:
             continue
         ready = info.get("ready", info.get("status", "ok") == "ok")

@@ -48,6 +48,30 @@ class TestCsvFormat:
             {"sample_id": 1, "sample_type": "SA", "name": "s1", "quality": 0.9}
         ]
 
+    def test_names_with_separators_and_line_breaks_roundtrip(self, msg_lab):
+        names = ["a,b", 'say "hi"', "cr\rx", "lf\nx", "tab\tx", "é", '"', "\r\n"]
+        document = RelationalDocument("task-input", experiment_id="7", task="pcr")
+        document.add_table_from_db(
+            msg_lab.db,
+            "Sample",
+            [
+                {"sample_id": index, "type_name": "SA", "name": name, "quality": 0.5}
+                for index, name in enumerate(names, start=1)
+            ]
+            + [{"sample_id": 99, "type_name": "SA", "name": "plain", "quality": 0.5}],
+        )
+        csv_text = document_to_csv(document)
+        # Only the fields that need it are quoted.
+        assert csv_text.endswith("\n99,SA,plain,0.5")
+        assert '\n5,SA,tab\tx,0.5\n6,SA,é,0.5\n' in csv_text
+        experiment_id, samples = parse_csv(csv_text)
+        assert experiment_id == 7
+        assert [sample["name"] for sample in samples] == [*names, "plain"]
+        assert [sample["sample_id"] for sample in samples] == [
+            *range(1, len(names) + 1),
+            99,
+        ]
+
     def test_parse_rejects_missing_header(self):
         with pytest.raises(AgentFormatError):
             parse_csv("sample_id,sample_type,name,quality\n1,SA,s,0.9")

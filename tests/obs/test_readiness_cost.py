@@ -8,6 +8,8 @@ request, so the probe must cost the same in a young lab and an old one:
   gate gives the same verdict on any host);
 * the history-sized counts it no longer computes are still reported
   by ``GET /workflow/health``;
+* one probe touches no file: the WAL and journal layout (which stats
+  every segment, manifest and checkpoint) stays on the health endpoint;
 * a readiness provider that raises still means "not ready": the filter
   answers 503 with the error text, never 500.
 """
@@ -15,6 +17,7 @@ request, so the probe must cost the same in a young lab and an old one:
 from __future__ import annotations
 
 import json
+import os
 
 from repro.core import PatternBuilder, install_workflow_support
 from repro.core.persistence import save_pattern
@@ -57,6 +60,32 @@ def test_history_counts_stay_on_the_health_endpoint():
     assert body["audit_records"] == lab.obs.audit.count() > 0
     engine = lab.obs.health_report()["components"]["engine"]
     assert engine["audit_write_errors"] == 0
+
+
+def test_readiness_probe_stats_no_file(tmp_path, monkeypatch):
+    lab = build_protein_lab(
+        seed=5,
+        wal_path=str(tmp_path / "lims.wal"),
+        journal_path=str(tmp_path / "broker.journal"),
+    )
+    try:
+        stats = []
+        real_stat = os.stat
+
+        def counting_stat(*args, **kwargs):
+            stats.append(args[0])
+            return real_stat(*args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counting_stat)
+        assert hub_readiness(lab.obs) == (True, "")
+        assert stats == []
+        report = lab.obs.health_report()["components"]
+        assert report["database"]["wal"]["size_bytes"] > 0
+        assert report["broker"]["journal"]["enabled"] is True
+        assert stats, "the health report still reads the log files"
+    finally:
+        monkeypatch.undo()
+        lab.close()
 
 
 def test_raising_readiness_provider_answers_503_not_500():
